@@ -5,14 +5,17 @@
 # sweep (every emitted soc/field schedule must re-certify; the seeded-bad
 # corpus in tests/lint_cases/ must be rejected), a serve
 # pipe-transport smoke against the committed golden responses, a
-# ThreadSanitizer build that exercises the parallel engines (test_campaign +
-# test_soc + test_field + test_serve + test_backend — test_campaign covers
-# the packed kernel under threads, test_serve the session pool and shared
-# caches, test_backend the sharded memtest engine) for
+# ThreadSanitizer build that exercises the parallel engines (test_thread_pool
+# + test_campaign + test_soc + test_field + test_serve + test_backend —
+# test_thread_pool covers parallel_shards' completion handshake,
+# test_campaign the packed kernel under threads, test_serve the session
+# pool and shared caches, test_backend the sharded memtest engine) for
 # data races, an Address+UndefinedBehaviorSanitizer build of
-# the linter, controller, fuzz, campaign, and backend suites (the
-# scalar/packed equivalence sweep under ASan pins the packed kernel's lane
-# bookkeeping; test_backend pins the mmap'd hostram path),
+# the thread pool, linter, controller, fuzz, campaign, and backend suites
+# (test_thread_pool runs with detect_stack_use_after_return=1, so a worker
+# touching the caller's dead frame is reported; the scalar/packed
+# equivalence sweep under ASan pins the packed kernel's lane bookkeeping;
+# test_backend pins the mmap'd hostram path),
 # and (when clang-tidy is installed) a
 # static-analysis pass over the lint subsystem.  Mirrors
 # .github/workflows/ci.yml so the pipeline can be reproduced locally with a
@@ -115,20 +118,23 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPMBIST_WERROR=ON \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build build-tsan -j "${JOBS}" --target test_campaign --target test_soc \
-  --target test_field --target test_serve --target test_backend
+  --target test_field --target test_serve --target test_backend \
+  --target test_thread_pool
+./build-tsan/tests/test_thread_pool
 ./build-tsan/tests/test_campaign
 ./build-tsan/tests/test_soc
 ./build-tsan/tests/test_field
 ./build-tsan/tests/test_serve
 ./build-tsan/tests/test_backend
 
-echo "== asan+ubsan: linter, controllers, fuzz, packed-kernel equivalence =="
+echo "== asan+ubsan: thread pool, linter, controllers, fuzz, packed-kernel equivalence =="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPMBIST_WERROR=ON \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build build-asan -j "${JOBS}" \
   --target test_lint --target test_fuzz --target test_ucode --target test_pfsm \
-  --target test_campaign --target test_backend
+  --target test_campaign --target test_backend --target test_thread_pool
+ASAN_OPTIONS=detect_stack_use_after_return=1 ./build-asan/tests/test_thread_pool
 ./build-asan/tests/test_lint
 ./build-asan/tests/test_fuzz
 ./build-asan/tests/test_ucode

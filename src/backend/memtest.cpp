@@ -9,6 +9,7 @@
 
 #include "backend/hostram_backend.h"
 #include "backend/sim_backend.h"
+#include "backend/sweep.h"
 #include "bist/misr.h"
 #include "common/thread_pool.h"
 #include "march/expand.h"
@@ -37,19 +38,6 @@ std::unique_ptr<MemoryBackend> make_backend(BackendKind kind,
   }
   throw BackendError{"unknown backend kind"};
 }
-
-/// Per-shard march state, persistent across elements/backgrounds/passes so
-/// op indices and the MISR fold the shard's whole access history.
-struct ShardState {
-  bist::Misr misr;
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t mismatches = 0;
-  std::uint64_t op_index = 0;  ///< index into the shard's own op stream
-  std::vector<march::Failure> failures;
-
-  explicit ShardState(int misr_width) : misr{misr_width, 0} {}
-};
 
 }  // namespace
 
@@ -123,9 +111,7 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
       geometry.num_words() / static_cast<std::size_t>(shards);
   const Word mask = geometry.word_mask();
 
-  std::vector<ShardState> states;
-  states.reserve(static_cast<std::size_t>(shards));
-  for (int s = 0; s < shards; ++s) states.emplace_back(options.misr_width);
+  std::vector<detail::ShardState> states(static_cast<std::size_t>(shards));
 
   MemtestReport report;
   report.algorithm = alg.name();
@@ -144,16 +130,19 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
     report.phases.push_back(std::move(phase));
   }
 
-  // Word-width batched fast path when the backend maps its storage
-  // directly; the behavioral path goes through the virtual interface so
-  // the simulator observes every access.  Both walk the same addresses in
-  // the same order and absorb the same values, so signatures agree.
+  // When the backend maps its storage directly, each element runs as a
+  // compare-only sweep over the shard's words (backend/sweep.h).  The
+  // behavioral path goes through the virtual interface so the simulator
+  // observes every access, and clocks a serial MISR on every read: the
+  // reference the sweeps are tested against.  Both walk the same
+  // addresses in the same order, so reports agree.
   const std::span<Word> direct = backend->mapped_words();
 
-  const auto run_element_on_shard = [&](int shard,
-                                        const march::MarchElement& el,
-                                        Word bg) {
-    ShardState& st = states[static_cast<std::size_t>(shard)];
+  const auto simulate_element_on_shard = [&](int shard,
+                                             const march::MarchElement& el,
+                                             Word bg) {
+    detail::ShardState& st = states[static_cast<std::size_t>(shard)];
+    bist::Misr misr{options.misr_width, st.signature};
     const std::size_t base =
         static_cast<std::size_t>(shard) * words_per_shard;
     const bool descending = el.order == march::AddressOrder::Down;
@@ -163,16 +152,11 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
       for (const march::MarchOp& op : el.ops) {
         const Word value = march::apply_background(op.data, bg, mask);
         if (op.kind == march::MarchOp::Kind::Write) {
-          if (!direct.empty()) {
-            direct[addr] = value;
-          } else {
-            backend->write(0, addr, value);
-          }
+          backend->write(0, addr, value);
           ++st.writes;
         } else {
-          const Word actual =
-              !direct.empty() ? direct[addr] : backend->read(0, addr);
-          st.misr.absorb(actual);
+          const Word actual = backend->read(0, addr);
+          misr.absorb(actual);
           ++st.reads;
           if (actual != value) {
             ++st.mismatches;
@@ -185,6 +169,7 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
         ++st.op_index;
       }
     }
+    st.signature = misr.signature();
   };
 
   // Injection flips a bit immediately before the first element whose
@@ -207,13 +192,25 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
   }
 
   const auto wall_start = Clock::now();
+  // One sweep per (background, element), shared by every shard.  No
+  // element reads a shard more often than the whole algorithm reads it.
+  std::vector<detail::ElementSweep> sweeps;
+  if (!direct.empty()) {
+    sweeps.reserve(backgrounds.size() * alg.elements().size());
+    for (const Word bg : backgrounds)
+      for (const march::MarchElement& el : alg.elements())
+        sweeps.emplace_back(el, bg, mask, words_per_shard, options.misr_width);
+  }
+  const bist::MisrSkip skip{
+      options.misr_width,
+      words_per_shard * static_cast<std::size_t>(alg.reads_per_cell())};
   const std::uint64_t progress_total =
       static_cast<std::uint64_t>(options.passes) * backgrounds.size();
   std::uint64_t progress_done = 0;
   bool pending_inject = options.inject_error;
 
   for (int pass = 0; pass < options.passes && report.completed; ++pass) {
-    for (const Word bg : backgrounds) {
+    for (std::size_t b = 0; b < backgrounds.size(); ++b) {
       for (std::size_t e = 0; e < alg.elements().size(); ++e) {
         if (options.cancel != nullptr &&
             options.cancel->load(std::memory_order_relaxed)) {
@@ -241,9 +238,21 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
           }
         }
         const auto phase_start = Clock::now();
-        common::parallel_shards(options.jobs, shards, [&](int shard) {
-          run_element_on_shard(shard, el, bg);
-        });
+        if (direct.empty()) {
+          common::parallel_shards(options.jobs, shards, [&](int shard) {
+            simulate_element_on_shard(shard, el, backgrounds[b]);
+          });
+        } else {
+          const detail::ElementSweep& sweep =
+              sweeps[b * alg.elements().size() + e];
+          common::parallel_shards(options.jobs, shards, [&](int shard) {
+            const std::size_t base =
+                static_cast<std::size_t>(shard) * words_per_shard;
+            sweep.run(direct.subspan(base, words_per_shard),
+                      static_cast<Address>(base), skip, options.max_failures,
+                      states[static_cast<std::size_t>(shard)]);
+          });
+        }
         backend->fence();
         phase.seconds += seconds_since(phase_start);
         std::uint64_t phase_reads = 0;
@@ -262,8 +271,8 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
   }
 
   bist::Misr total{options.misr_width, 0};
-  for (ShardState& st : states) {
-    total.absorb(st.misr.signature());
+  for (detail::ShardState& st : states) {
+    total.absorb(st.signature);
     report.reads += st.reads;
     report.writes += st.writes;
     report.mismatches += st.mismatches;

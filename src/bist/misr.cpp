@@ -42,14 +42,6 @@ void Misr::reset(Word seed) {
   count_ = 0;
 }
 
-void Misr::absorb(Word value) {
-  const bool feedback = state_ & 1u;
-  state_ >>= 1;
-  if (feedback) state_ ^= poly_;
-  state_ = (state_ ^ value) & mask_;
-  ++count_;
-}
-
 netlist::GateInventory Misr::area(int width) {
   netlist::GateInventory inv =
       netlist::register_bank(width, netlist::RegisterKind::Scan);
@@ -61,13 +53,89 @@ netlist::GateInventory Misr::area(int width) {
   return inv;
 }
 
+MisrAffine::MisrAffine(int width) : width_{width} {
+  (void)Misr::polynomial(width);  // validates the width
+  for (int j = 0; j < width; ++j)
+    columns_[static_cast<std::size_t>(j)] = Word{1} << j;
+}
+
+MisrAffine MisrAffine::absorbing(int width, std::span<const Word> values) {
+  MisrAffine map{width};
+  for (int j = 0; j < width; ++j) {
+    Misr column{width, Word{1} << j};
+    for (std::size_t i = 0; i < values.size(); ++i) column.absorb(0);
+    map.columns_[static_cast<std::size_t>(j)] = column.signature();
+  }
+  Misr offset{width, 0};
+  for (const Word v : values) offset.absorb(v);
+  map.offset_ = offset.signature();
+  return map;
+}
+
+MisrAffine MisrAffine::then(const MisrAffine& next) const {
+  assert(next.width_ == width_);
+  MisrAffine out{width_};
+  for (int j = 0; j < width_; ++j) {
+    const auto c = static_cast<std::size_t>(j);
+    out.columns_[c] = next.linear(columns_[c]);
+  }
+  out.offset_ = next.apply(offset_);
+  return out;
+}
+
+MisrAffine MisrAffine::power(std::uint64_t n) const {
+  MisrAffine result{width_};
+  MisrAffine doubled = *this;
+  for (; n != 0; n >>= 1) {
+    if (n & 1) result = result.then(doubled);
+    if (n > 1) doubled = doubled.then(doubled);
+  }
+  return result;
+}
+
+MisrSkip::MisrSkip(int width, std::uint64_t longest_run)
+    : poly_{Misr::polynomial(width)},
+      mask_{width >= 64 ? ~Word{0} : ((Word{1} << width) - 1)},
+      step_limit_{4 * width} {
+  if (longest_run <= static_cast<std::uint64_t>(step_limit_)) return;
+  const Word zero = 0;
+  powers_.push_back(MisrAffine::absorbing(width, {&zero, 1}));
+  while ((longest_run >> powers_.size()) != 0)
+    powers_.push_back(powers_.back().then(powers_.back()));
+}
+
+Word MisrSkip::skip(Word state, std::uint64_t zeros) const noexcept {
+  if (state == 0) return 0;
+  if (zeros <= static_cast<std::uint64_t>(step_limit_)) {
+    for (; zeros != 0; --zeros) state = Misr::shift(state, poly_);
+    return state;
+  }
+  assert((zeros >> powers_.size()) == 0);
+  for (std::size_t k = 0; zeros != 0; ++k, zeros >>= 1)
+    if (zeros & 1) state = powers_[k].apply(state);
+  return state;
+}
+
 Word golden_signature(const march::MarchAlgorithm& alg,
                       const memsim::MemoryGeometry& geometry, int misr_width,
                       Word seed) {
-  Misr misr{misr_width, seed};
-  for (const auto& op : march::expand(alg, geometry))
-    if (op.kind == march::MemOp::Kind::Read) misr.absorb(op.data);
-  return misr.signature();
+  assert(alg.validate().empty());
+  const Word mask = geometry.word_mask();
+  Word state = Misr{misr_width, seed}.signature();
+  std::vector<Word> reads;
+  for (int port = 0; port < geometry.num_ports; ++port)
+    for (const Word bg : march::standard_backgrounds(geometry.word_bits))
+      for (const march::MarchElement& el : alg.elements()) {
+        reads.clear();
+        for (const march::MarchOp& op : el.ops)
+          if (op.is_read())
+            reads.push_back(march::apply_background(op.data, bg, mask));
+        if (el.is_pause || reads.empty()) continue;
+        state = MisrAffine::absorbing(misr_width, reads)
+                    .power(geometry.num_words())
+                    .apply(state);
+      }
+  return state;
 }
 
 MisrSessionResult run_session_misr(Controller& controller,

@@ -98,22 +98,23 @@ void parallel_shards(int jobs, int num_shards,
   if (jobs <= 1) {
     drain();
   } else {
-    // jobs-1 pool workers plus the calling thread.
-    std::atomic<int> pending{jobs - 1};
+    // jobs-1 pool workers plus the calling thread.  Everything the tasks
+    // touch lives in this frame, so a worker's last access must happen
+    // before the caller can see pending == 0: it decrements and notifies
+    // under the lock, and the caller cannot return until it is released.
+    int pending = jobs - 1;  // guarded by mu
     std::mutex mu;
     std::condition_variable done;
     for (int w = 1; w < jobs; ++w) {
       shared_pool().submit([&] {
         drain();
-        if (pending.fetch_sub(1) == 1) {
-          std::lock_guard lock{mu};
-          done.notify_one();
-        }
+        std::lock_guard lock{mu};
+        if (--pending == 0) done.notify_one();
       });
     }
     drain();
     std::unique_lock lock{mu};
-    done.wait(lock, [&] { return pending.load() == 0; });
+    done.wait(lock, [&] { return pending == 0; });
   }
   if (error) std::rethrow_exception(error);
 }

@@ -11,6 +11,8 @@
 //   * memtest results are pure functions of (algorithm, size, passes,
 //     backgrounds) — never of --jobs — and injected mismatches are caught
 //     on both backends;
+//   * the direct-mapped compare-only sweep (signature from MISR
+//     linearity) equals the serial-MISR per-op walk, mismatches and all;
 //   * the soc scheduler and field manager run fault-free chips on either
 //     backend with identical reports, and reject hostram + fault injection;
 //   * the calibrated power model anchors at the reference geometry and
@@ -27,9 +29,12 @@
 #include "backend/hostram_backend.h"
 #include "backend/memtest.h"
 #include "backend/sim_backend.h"
+#include "backend/sweep.h"
+#include "bist/misr.h"
 #include "bist/session.h"
 #include "field/manager.h"
 #include "field/profile.h"
+#include "march/expand.h"
 #include "march/library.h"
 #include "march/march.h"
 #include "march/parser.h"
@@ -293,16 +298,164 @@ TEST(MemtestEquivalenceTest, FuzzedAlgorithmsAgreeAcrossBackends) {
     SCOPED_TRACE(alg.to_string());
 
     const auto sim = run_small(alg, BackendKind::Sim);
-    const auto ram = run_small(alg, BackendKind::HostRam);
+    auto ram = run_small(alg, BackendKind::HostRam);
     EXPECT_EQ(sim.signature, ram.signature);
     EXPECT_EQ(sim.reads, ram.reads);
     EXPECT_EQ(sim.writes, ram.writes);
     // A generated algorithm may read a value its own elements never wrote
     // at that point (e.g. r1 right after w0) — that is a legitimate FAIL,
-    // but it must be the SAME fail on both backends.
+    // but it must be the SAME fail on both backends: the sim leg clocks a
+    // serial MISR per read, the hostram leg derives the signature from
+    // its mismatches, and the whole report must agree.
     EXPECT_EQ(sim.mismatches, ram.mismatches);
     EXPECT_EQ(sim.passed(), ram.passed());
+    EXPECT_EQ(sim.failures, ram.failures);
+    ram.backend_name = sim.backend_name;
+    EXPECT_EQ(backend::format_memtest_report(sim),
+              backend::format_memtest_report(ram));
   }
+}
+
+// --- memtest: the direct-mapped sweep against the serial-MISR walk ----
+
+/// The per-op reference walk of one element over one shard: every read
+/// clocks a serial bist::Misr (the virtual-interface loop of run_memtest
+/// over a plain word vector).
+void reference_element(std::vector<backend::Word>& shard, backend::Address base,
+                       const march::MarchElement& el, backend::Word bg,
+                       int misr_width, std::size_t max_failures,
+                       backend::detail::ShardState& st) {
+  const backend::Word mask = ~backend::Word{0};
+  bist::Misr misr{misr_width, st.signature};
+  const std::size_t n = shard.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t offset =
+        el.order == march::AddressOrder::Down ? n - 1 - i : i;
+    for (const march::MarchOp& op : el.ops) {
+      const backend::Word value = march::apply_background(op.data, bg, mask);
+      if (!op.is_read()) {
+        shard[offset] = value;
+        ++st.writes;
+      } else {
+        const backend::Word actual = shard[offset];
+        misr.absorb(actual);
+        ++st.reads;
+        if (actual != value) {
+          ++st.mismatches;
+          if (st.failures.size() < max_failures) {
+            st.failures.push_back(march::Failure{
+                st.op_index,
+                march::MemOp::read(
+                    0, static_cast<backend::Address>(base + offset), value),
+                actual});
+          }
+        }
+      }
+      ++st.op_index;
+    }
+  }
+  st.signature = misr.signature();
+}
+
+enum class Corruption { OneWord, Sparse, EveryWord };
+
+/// Runs `alg` for 2 passes x 3 backgrounds over one shard of `words`
+/// words through both the sweep and the reference walk, planting the same
+/// corrupt words in both before elements, and requires identical state.
+void expect_sweep_matches_reference(const march::MarchAlgorithm& alg,
+                                    std::size_t words, int misr_width,
+                                    Corruption corruption,
+                                    std::size_t max_failures) {
+  SCOPED_TRACE(alg.to_string() + " words=" + std::to_string(words) +
+               " misr=" + std::to_string(misr_width) +
+               " corruption=" + std::to_string(static_cast<int>(corruption)) +
+               " cap=" + std::to_string(max_failures));
+  const backend::Address base = 3 * static_cast<backend::Address>(words);
+  std::vector<backend::Word> fast(words, 0);
+  std::vector<backend::Word> slow(words, 0);
+  backend::detail::ShardState fs;
+  backend::detail::ShardState ss;
+  std::vector<backend::Word> backgrounds = march::standard_backgrounds(64);
+  backgrounds.resize(3);
+  const bist::MisrSkip skip{
+      misr_width, words * static_cast<std::size_t>(alg.reads_per_cell())};
+  std::mt19937_64 rng{0xC0DE'0000u + words + misr_width};
+  bool planted = false;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const backend::Word bg : backgrounds) {
+      for (std::size_t e = 0; e < alg.elements().size(); ++e) {
+        const march::MarchElement& el = alg.elements()[e];
+        if (el.is_pause) continue;
+        const auto corrupt = [&](std::size_t i) {
+          const backend::Word flip = rng() | 1;
+          fast[i] ^= flip;
+          slow[i] ^= flip;
+        };
+        if (e > 0) {
+          switch (corruption) {
+            case Corruption::OneWord:
+              if (!planted) corrupt(words / 3);
+              planted = true;
+              break;
+            case Corruption::Sparse:
+              for (std::size_t k = 0; k < 1 + words / 200; ++k)
+                corrupt(rng() % words);
+              break;
+            case Corruption::EveryWord:
+              for (std::size_t i = 0; i < words; ++i) corrupt(i);
+              break;
+          }
+        }
+        const backend::detail::ElementSweep sweep{el, bg, ~backend::Word{0},
+                                                  words, misr_width};
+        sweep.run(fast, base, skip, max_failures, fs);
+        reference_element(slow, base, el, bg, misr_width, max_failures, ss);
+        ASSERT_EQ(fast, slow) << "memory differs after element " << e;
+      }
+    }
+  }
+  EXPECT_EQ(fs.signature, ss.signature);
+  EXPECT_EQ(fs.reads, ss.reads);
+  EXPECT_EQ(fs.writes, ss.writes);
+  EXPECT_EQ(fs.mismatches, ss.mismatches);
+  EXPECT_EQ(fs.op_index, ss.op_index);
+  EXPECT_EQ(fs.failures, ss.failures);
+  EXPECT_GT(fs.mismatches, 0u);
+  EXPECT_EQ(fs.failures.size(),
+            std::min<std::uint64_t>(fs.mismatches, max_failures));
+  // The small cap truncates the log wherever more than one word is hit.
+  if (corruption != Corruption::OneWord) {
+    EXPECT_GT(fs.mismatches, 3u);
+  }
+}
+
+TEST(MemtestSweepTest, MatchesTheSerialMisrWalkUnderCorruption) {
+  const march::MarchAlgorithm algorithms[] = {
+      // One read per address, Up and Down, fill/read-write/verify shapes.
+      march::march_c(),
+      // Two reads per address: compared-first (r,r,w), read after write
+      // (r,w,r), repeated writes (r,w,w) and a two-read verify.
+      march::parse("any(w1); down(r1,r1,w0); up(r0,w1,r1); down(r1,w0,w0); "
+                   "up(r0,r0); down(r0,w1)",
+                   "two-reads"),
+  };
+  for (const auto& alg : algorithms)
+    for (const std::size_t words : {std::size_t{64}, std::size_t{1500}})
+      for (const int width : {1, 7, 16, 32, 64})
+        for (const auto corruption :
+             {Corruption::OneWord, Corruption::Sparse, Corruption::EveryWord})
+          for (const std::size_t cap : {std::size_t{3}, std::size_t{64}})
+            expect_sweep_matches_reference(alg, words, width, corruption, cap);
+}
+
+TEST(MemtestSweepTest, ReadsThatCannotMatchAreAllLogged) {
+  // r0 then r1 of the same word, or a read after a write that expects the
+  // word from before it: one read always mismatches, so the sweep must
+  // never take its compare-and-fill shortcut.
+  const auto alg = march::parse(
+      "any(w0); up(r0,r1); down(w1,r1,r0); down(r1,w0,r1)", "odd");
+  for (const int width : {1, 32, 64})
+    expect_sweep_matches_reference(alg, 1500, width, Corruption::OneWord, 64);
 }
 
 // --- memtest: determinism, reporting, injection -----------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 
 #include "common/cancel.h"
@@ -25,8 +26,11 @@ constexpr memsim::MemoryGeometry kGeom{.address_bits = 5, .word_bits = 1,
 
 // --- serial vs parallel equivalence -----------------------------------
 
+// The algorithm is a std::string, not a const char*: gtest prints a char
+// pointer's address into the listed test name, so the name would change
+// from build to build.
 class CampaignEquivalence
-    : public testing::TestWithParam<std::tuple<const char*, FaultClass>> {};
+    : public testing::TestWithParam<std::tuple<std::string, FaultClass>> {};
 
 TEST_P(CampaignEquivalence, JobsDoNotChangeDetections) {
   const auto [name, cls] = GetParam();
