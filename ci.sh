@@ -101,6 +101,20 @@ echo "== serve smoke: deterministic pipe transport vs committed golden =="
 ./build/tools/pmbist serve < tests/serve_golden/requests.ndjson \
   | diff - tests/serve_golden/responses.golden
 
+echo "== campaign at benchmark scale: scalar vs packed kernel (smoke) =="
+# 4096 words x 1024 faults per class: packs skip most of the stream
+# (docs/KERNEL.md, "Sparse projection"); March C+ adds pauses (DRF).  The
+# table prints whole percentages, so this only smoke-tests the CLI path;
+# test_campaign's Projection.BenchmarkScaleRecordsMatchScalar compares
+# the records themselves.
+for alg in "March C" "March C+"; do
+  echo "-- ${alg}"
+  diff <(./build/tools/pmbist coverage "${alg}" --addr-bits 12 \
+           --samples 1024 --kernel scalar) \
+       <(./build/tools/pmbist coverage "${alg}" --addr-bits 12 \
+           --samples 1024 --kernel packed --jobs 4)
+done
+
 echo "== memtest smoke: march the host RAM (64 MiB, one pass) =="
 ./build/tools/pmbist memtest --size 64M --passes 1 > /dev/null
 

@@ -304,11 +304,11 @@ Report lint_field_schedule_text(const std::string& text, std::string unit,
 /// errors (there is no schedule to derive); a clean-linting chip whose
 /// schedule cannot be computed becomes SC00.
 void certify_chip_input(const std::string& text, const std::string& unit,
-                        Report& report) {
+                        int jobs, Report& report) {
   if (report.has_errors()) return;
   try {
     const soc::ChipFile chip = soc::parse_chip(text);
-    const soc::Scheduler scheduler;
+    const soc::Scheduler scheduler{{.jobs = jobs}};
     report.merge(certify_soc(chip.description, chip.plan,
                              scheduler.compute_schedule(chip.description,
                                                         chip.plan),
@@ -405,7 +405,8 @@ Report lint_text_as(InputKind kind, const std::string& text, std::string unit,
                    "chip file",
                    "lint the assigned programs individually");
       report.merge(lint_chip_text(text, unit));
-      if (options.certify) certify_chip_input(text, unit, report);
+      if (options.certify)
+        certify_chip_input(text, unit, options.jobs, report);
       return report;
     }
     case InputKind::Profile: {

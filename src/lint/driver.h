@@ -53,6 +53,10 @@ struct LintOptions {
   /// EQ01/EQ02 with a counterexample trace.  EQ00 when the source does not
   /// resolve or the input is not a controller image.
   std::string against;
+  /// Worker count of the scheduling phase behind --certify on a chip
+  /// input; 0 = hardware concurrency.  The schedule, and so the report,
+  /// is the same for every value.
+  int jobs = 0;
 };
 
 /// Lints `text` as `kind`.  Never throws on malformed input — parse

@@ -15,6 +15,11 @@
 //     memory, one bit-lane each, so a shard steps 64 simulations per op;
 //     the scalar one-memory-per-fault path is kept as the pinned
 //     reference (CampaignConfig::kernel / the --kernel flag);
+//   * a lane-pack replays only the ops at the addresses its faults
+//     involve, plus every pause, through an address -> op-index table
+//     built once per call; packs holding a port or NPSF fault, and all
+//     packs of a stream with a read that fails in a fault-free memory,
+//     replay every op (docs/KERNEL.md, "Sparse projection");
 //   * the fault universe is sharded dynamically across workers — by
 //     lane-pack for the packed kernel, by instance for the scalar one;
 //     each worker owns one thread-local memory that is cheaply reset()

@@ -8,9 +8,10 @@
 //           pinned against.
 //   Packed  the PPSFP bit-parallel kernel (memsim/packed_memory.h): up to
 //           64 fault instances per PackedFaultyMemory, one bit-lane each,
-//           stepped through the stream simultaneously.  Bit-identical to
+//           stepped simultaneously through the ops their faults can see
+//           (docs/KERNEL.md, "Sparse projection").  Bit-identical to
 //           Scalar by contract (same verdicts, same detecting-op
-//           positions) and roughly an order of magnitude faster.
+//           positions) and orders of magnitude faster.
 //
 // Selection is orthogonal to the worker count (--jobs): either kernel runs
 // under any jobs value and produces byte-identical records.  The choice is

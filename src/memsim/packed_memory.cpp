@@ -27,6 +27,7 @@ PackedFaultyMemory::PackedFaultyMemory(MemoryGeometry geometry,
   cells_.resize(bits);
   state_index_.assign(bits, -1);
   addr_flags_.assign(geometry_.num_words(), 0);
+  written_.assign(geometry_.num_words(), 0);
   sense_residue_.assign(static_cast<std::size_t>(geometry_.word_bits), 0);
   rising_.resize(static_cast<std::size_t>(geometry_.word_bits));
   falling_.resize(static_cast<std::size_t>(geometry_.word_bits));
@@ -35,6 +36,30 @@ PackedFaultyMemory::PackedFaultyMemory(MemoryGeometry geometry,
 }
 
 void PackedFaultyMemory::reset(std::uint64_t powerup_seed) {
+  const std::size_t width = static_cast<std::size_t>(geometry_.word_bits);
+  if (powerup_.empty() || powerup_seed != powerup_seed_) {
+    // Broadcast the scalar power-up word across all 64 lanes.
+    powerup_.resize(cells_.size());
+    powerup_seed_ = powerup_seed;
+    std::uint64_t s = powerup_seed;
+    for (std::size_t a = 0; a < geometry_.num_words(); ++a) {
+      const Word w = splitmix64(s) & geometry_.word_mask();
+      for (std::size_t bit = 0; bit < width; ++bit)
+        powerup_[a * width + bit] =
+            ((w >> bit) & 1u) != 0 ? ~std::uint64_t{0} : 0;
+    }
+    cells_ = powerup_;
+  } else {
+    // Only fault cells (SAF injection, RDF flips, DRF decay) and written
+    // or forced words can differ from the power-up image.
+    for (const std::size_t ci : touched_cells_) cells_[ci] = powerup_[ci];
+    for (const Address a : written_addrs_) {
+      const auto at = static_cast<std::ptrdiff_t>(a * width);
+      std::copy_n(powerup_.begin() + at, width, cells_.begin() + at);
+    }
+  }
+  for (const Address a : written_addrs_) written_[a] = 0;
+  written_addrs_.clear();
   for (const std::size_t ci : touched_cells_) state_index_[ci] = -1;
   touched_cells_.clear();
   states_.clear();
@@ -49,16 +74,12 @@ void PackedFaultyMemory::reset(std::uint64_t powerup_seed) {
   last_read_valid_ = false;
   divergent_lanes_ = 0;
   divergent_last_read_.clear();
-  // Broadcast the scalar power-up word across all 64 lanes.
-  std::uint64_t s = powerup_seed;
-  const int width = geometry_.word_bits;
-  for (std::size_t a = 0; a < geometry_.num_words(); ++a) {
-    const Word w = splitmix64(s) & geometry_.word_mask();
-    for (int bit = 0; bit < width; ++bit)
-      cells_[a * static_cast<std::size_t>(width) +
-             static_cast<std::size_t>(bit)] =
-          ((w >> bit) & 1u) != 0 ? ~std::uint64_t{0} : 0;
-  }
+}
+
+void PackedFaultyMemory::mark_written(Address addr) {
+  if (written_[addr] != 0) return;
+  written_[addr] = 1;
+  written_addrs_.push_back(addr);
 }
 
 PackedFaultyMemory::CellState& PackedFaultyMemory::ensure_state(Address addr,
@@ -239,12 +260,14 @@ void PackedFaultyMemory::force_lanes(const BitRef& victim, std::uint64_t lanes,
   }
   const std::size_t ci = cell_index(victim.addr, victim.bit);
   cells_[ci] = value ? cells_[ci] | lanes : cells_[ci] & ~lanes;
+  mark_written(victim.addr);
 }
 
 void PackedFaultyMemory::write_word(Address addr, Word data,
                                     std::uint64_t mask) {
   const int width = geometry_.word_bits;
   std::uint64_t any_transition = 0;
+  mark_written(addr);
 
   // Phase 1: all bits driven simultaneously; per lane, SAF/SOF hold,
   // TF blocks the attempted transition, WDF flips non-transition writes.
@@ -407,6 +430,9 @@ std::uint64_t PackedFaultyMemory::read(int port, Address addr, Word expected) {
   assert(port >= 0 && port < geometry_.num_ports);
   assert(addr < geometry_.num_words());
   ops_begun_ = true;
+  // An expected word wider than the memory fails in every lane, as the
+  // scalar comparison of the masked sensed word with it does.
+  const bool too_wide = (expected & ~geometry_.word_mask()) != 0;
   expected &= geometry_.word_mask();
 
   // Weak-cell (DRDF) excitation: lanes whose immediately preceding
@@ -474,12 +500,13 @@ std::uint64_t PackedFaultyMemory::read(int port, Address addr, Word expected) {
   last_read_valid_ = true;
   last_read_addr_ = addr;
   for (auto& e : divergent_last_read_) {
-    if (!lane_maps_empty(std::uint64_t{1} << e.lane, addr)) {
+    if (af_entries == nullptr ||
+        !lane_maps_empty(std::uint64_t{1} << e.lane, addr)) {
       e.valid = true;
       e.addr = addr;
     }
   }
-  return mismatch;
+  return too_wide ? ~std::uint64_t{0} : mismatch;
 }
 
 void PackedFaultyMemory::write(int port, Address addr, Word data) {
@@ -521,6 +548,14 @@ void PackedFaultyMemory::advance_time_ns(std::uint64_t ns) {
   ops_begun_ = true;
   now_ns_ += ns;
   invalidate_last_read();  // pauses let weak cells recover
+}
+
+void PackedFaultyMemory::skip_fault_free(std::optional<Word> last_read) {
+  invalidate_last_read();
+  if (!last_read) return;
+  for (std::size_t bit = 0; bit < sense_residue_.size(); ++bit)
+    sense_residue_[bit] =
+        ((*last_read >> bit) & 1u) != 0 ? ~std::uint64_t{0} : 0;
 }
 
 Word PackedFaultyMemory::peek(Address addr, int lane) const {

@@ -23,6 +23,12 @@
 // across lanes, and all cross-cell effects (coupling, AF aliasing, NPSF)
 // are masked to the lane that owns the fault.
 //
+// The caller need not step every op of a stream through the memory: an op
+// on cells that are fault-free in every lane acts alike in all lanes, so
+// the campaign engine replays only the ops a lane-pack's faults can see
+// and reports each skipped run through skip_fault_free() (docs/KERNEL.md,
+// "Sparse projection").
+//
 // Faults must be injected before the first operation (the campaign
 // injects into a fresh/reset memory); this keeps per-lane write-timestamp
 // tracking (DRF) exact without a per-address per-lane history.
@@ -52,7 +58,9 @@ class PackedFaultyMemory {
   /// time rewound, contents re-randomized from `powerup_seed` exactly as
   /// the constructor (and FaultyMemory) would.  No allocation in the
   /// steady state — the campaign engine resets one packed memory per
-  /// worker between lane-packs.
+  /// worker between lane-packs.  Under the seed of the previous reset
+  /// only the cells changed since then are restored, from a power-up
+  /// image computed once per seed.
   void reset(std::uint64_t powerup_seed);
 
   /// Injects one fault instance into lane `lane` (0..63).  Validates
@@ -71,6 +79,15 @@ class PackedFaultyMemory {
 
   /// Advances simulated time in every lane (DRF decay, weak-cell reset).
   void advance_time_ns(std::uint64_t ns);
+
+  /// Accounts for reads and writes the caller skipped since the previous
+  /// op: ops on cells that are fault-free in every lane, none of them a
+  /// failing read.  Such ops leave every other cell alone, so only two
+  /// things carry over: the last-read tracking, which is forgotten (no
+  /// replayed op touches a skipped address), and, when `last_read` holds
+  /// the latest skipped read's expected word, every lane's sense residue,
+  /// which becomes that word.
+  void skip_fault_free(std::optional<Word> last_read);
 
   [[nodiscard]] const MemoryGeometry& geometry() const noexcept {
     return geometry_;
@@ -177,9 +194,17 @@ class PackedFaultyMemory {
   [[nodiscard]] bool lane_maps_empty(std::uint64_t lane,
                                      Address logical) const;
   void invalidate_last_read();
+  void mark_written(Address addr);
 
   MemoryGeometry geometry_;
   std::vector<std::uint64_t> cells_;   // lane vectors, [addr * W + bit]
+  // Power-up contents of cells_ under powerup_seed_, and the addresses
+  // written or forced since the last reset (reset() restores those plus
+  // the fault cells of touched_cells_).
+  std::vector<std::uint64_t> powerup_;
+  std::uint64_t powerup_seed_ = 0;
+  std::vector<std::uint8_t> written_;
+  std::vector<Address> written_addrs_;
   std::vector<std::int32_t> state_index_;  // -1 = no fault touches the cell
   std::vector<CellState> states_;
   std::vector<std::size_t> touched_cells_;  // indices to clear on reset

@@ -320,7 +320,10 @@ Server::ExecResult Server::exec_lint(const Request& req) {
                                 .chip = req.chip,
                                 .profile = req.profile,
                                 .certify = req.certify,
-                                .against = req.against};
+                                .against = req.against,
+                                // One worker per session: the verdict is
+                                // jobs-invariant, so the cache key omits it.
+                                .jobs = 1};
   const lint::Report report = lint::lint_text(req.input, req.unit, lopts);
   VerdictCache::Verdict verdict{lint::format_cli(report, req.unit,
                                                  req.lint_json),

@@ -77,6 +77,10 @@ struct CrossCase {
   const char* alg;
 };
 
+// gtest would print the struct's bytes (a pointer) into the listed test
+// name, which then changes from build to build.
+void PrintTo(const CrossCase& c, std::ostream* os) { *os << c.alg; }
+
 class AnalysisCrossValidation : public ::testing::TestWithParam<CrossCase> {};
 
 TEST_P(AnalysisCrossValidation, VerdictsMatchFaultSimulation) {

@@ -528,4 +528,298 @@ TEST(Kernel, EmptyDecoderLaneDivergesWeakCellTracking) {
   EXPECT_TRUE(packed.records[1].detected);
 }
 
+// --- sparse projection -------------------------------------------------
+//
+// The packed kernel replays only the ops at addresses a lane-pack's faults
+// involve.  At 16-64 words a 64-lane pack involves nearly every address,
+// so the cases below use larger arrays (or hand-built streams) where the
+// projection skips ops, and pin the state carried across skipped ops.
+
+// Scalar records, then packed records under each jobs value.
+void expect_kernels_agree(std::span<const march::MemOp> stream,
+                          const memsim::MemoryGeometry& geom,
+                          std::span<const march::FaultGroup> groups,
+                          std::initializer_list<int> jobs_values = {1, 2},
+                          std::uint64_t seed = 1) {
+  const auto scalar = CampaignRunner{{.jobs = 1,
+                                      .powerup_seed = seed,
+                                      .kernel = CampaignKernel::Scalar}}
+                          .run_groups(stream, geom, groups);
+  for (const int jobs : jobs_values) {
+    const auto packed = CampaignRunner{{.jobs = jobs,
+                                        .powerup_seed = seed,
+                                        .kernel = CampaignKernel::Packed}}
+                            .run_groups(stream, geom, groups);
+    EXPECT_EQ(scalar.records, packed.records) << "jobs=" << jobs;
+  }
+}
+
+std::vector<march::FaultGroup> singletons(
+    const std::vector<memsim::Fault>& universe) {
+  std::vector<march::FaultGroup> groups;
+  for (const auto& f : universe) groups.push_back({f});
+  return groups;
+}
+
+TEST(Projection, FullLibraryAllClassesAtSparseGeometry) {
+  // 256 words: a pack of 64 single-cell faults involves at most a quarter
+  // of the addresses.  72 instances per class: one full pack plus a
+  // ragged 8-lane one.
+  const memsim::MemoryGeometry geom{.address_bits = 8, .word_bits = 1,
+                                    .num_ports = 1};
+  for (const auto& alg : march::all_algorithms()) {
+    const auto stream = march::expand(alg, geom);
+    for (const FaultClass cls : memsim::all_fault_classes()) {
+      const auto universe = march::make_fault_universe(cls, geom, 41, 72);
+      ASSERT_FALSE(universe.empty());
+      const auto scalar = CampaignRunner{{.jobs = 1,
+                                          .kernel = CampaignKernel::Scalar}}
+                              .run(stream, geom, universe);
+      for (const int jobs : {1, 2, 8}) {
+        const auto packed =
+            CampaignRunner{{.jobs = jobs, .kernel = CampaignKernel::Packed}}
+                .run(stream, geom, universe);
+        EXPECT_EQ(scalar.records, packed.records)
+            << alg.name() << " x " << memsim::fault_class_name(cls)
+            << " jobs=" << jobs;
+      }
+    }
+  }
+}
+
+TEST(Projection, BenchmarkScaleRecordsMatchScalar) {
+  // 4096 words, as the perfbench campaign runs: a pack involves about 2%
+  // of the stream.  March C+ adds the pauses (DRF).  Records, not the
+  // rounded coverage table, so one flipped verdict or a moved
+  // first_failure_op fails the case.  64 instances per class, one class
+  // per pack, all classes in one run() so 4 workers share 12 packs.
+  const memsim::MemoryGeometry geom{.address_bits = 12, .word_bits = 1,
+                                    .num_ports = 1};
+  std::vector<memsim::Fault> universe;
+  for (const FaultClass cls : memsim::all_fault_classes()) {
+    const auto faults = march::make_fault_universe(cls, geom, 11, 64);
+    universe.insert(universe.end(), faults.begin(), faults.end());
+  }
+  for (const char* name : {"March C", "March C+"}) {
+    const auto stream = march::expand(march::by_name(name), geom);
+    const auto scalar =
+        CampaignRunner{{.jobs = 4, .kernel = CampaignKernel::Scalar}}.run(
+            stream, geom, universe);
+    const auto packed =
+        CampaignRunner{{.jobs = 4, .kernel = CampaignKernel::Packed}}.run(
+            stream, geom, universe);
+    EXPECT_EQ(scalar.records, packed.records) << name;
+  }
+}
+
+constexpr memsim::MemoryGeometry kSparse{.address_bits = 6, .word_bits = 1,
+                                         .num_ports = 1};
+
+// w0 over the whole array: every later op at an uninvolved address is
+// skipped by a pack whose faults sit elsewhere.
+march::OpStream zero_fill(const memsim::MemoryGeometry& geom) {
+  march::OpStream stream;
+  for (memsim::Address a = 0; a < geom.num_words(); ++a)
+    stream.push_back(march::MemOp::write(0, a, 0));
+  return stream;
+}
+
+TEST(Projection, StuckOpenReadsTheResidueOfASkippedRead) {
+  // The open cell at 5 senses the column residue, which a skipped read of
+  // address 40 set to 1: only carrying that residue detects at op n+3.
+  auto stream = zero_fill(kSparse);
+  const std::size_t n = stream.size();
+  stream.push_back(march::MemOp::read(0, 5, 0));   // residue 0
+  stream.push_back(march::MemOp::write(0, 40, 1));  // skipped
+  stream.push_back(march::MemOp::read(0, 40, 1));   // skipped: residue 1
+  stream.push_back(march::MemOp::read(0, 5, 0));    // senses 1
+  const std::vector<march::FaultGroup> groups{
+      {memsim::StuckOpenFault{{5, 0}}}, {memsim::StuckAtFault{{7, 0}, true}}};
+  expect_kernels_agree(stream, kSparse, groups);
+  const auto packed = CampaignRunner{{.jobs = 1}}.run_groups(stream, kSparse,
+                                                             groups);
+  EXPECT_TRUE(packed.records[0].detected);
+  EXPECT_EQ(packed.records[0].first_failure_op, n + 3);
+}
+
+TEST(Projection, WeakCellTrackingForgetsSkippedOps) {
+  // Weak cell at 5.  A skipped read or write between two reads of 5 makes
+  // them non-consecutive; the triple read after a skipped op is the only
+  // back-to-back pair.
+  for (const bool skipped_read : {true, false}) {
+    auto stream = zero_fill(kSparse);
+    const std::size_t n = stream.size();
+    stream.push_back(march::MemOp::read(0, 5, 0));
+    stream.push_back(skipped_read ? march::MemOp::read(0, 33, 0)
+                                  : march::MemOp::write(0, 33, 0));
+    stream.push_back(march::MemOp::read(0, 5, 0));   // not back-to-back
+    stream.push_back(march::MemOp::write(0, 34, 0));  // skipped
+    stream.push_back(march::MemOp::read(0, 5, 0));
+    stream.push_back(march::MemOp::read(0, 5, 0));   // back-to-back
+    stream.push_back(march::MemOp::read(0, 5, 0));
+    const std::vector<march::FaultGroup> groups{
+        {memsim::ReadDestructiveFault{{5, 0}, true}}};
+    expect_kernels_agree(stream, kSparse, groups);
+    const auto packed = CampaignRunner{{.jobs = 1}}.run_groups(
+        stream, kSparse, groups);
+    EXPECT_EQ(packed.records[0].first_failure_op, n + 5) << skipped_read;
+  }
+}
+
+TEST(Projection, EmptyDecoderLanesAcrossSkippedOps) {
+  // Lane 1's decoder maps 3 to nowhere, so r7 r3 r7 is back-to-back on its
+  // weak cell only; a skipped read between them breaks the pair for every
+  // lane.
+  for (const bool gap : {false, true}) {
+    auto stream = zero_fill(kSparse);
+    const std::size_t n = stream.size();
+    stream.push_back(march::MemOp::read(0, 7, 0));
+    if (gap) stream.push_back(march::MemOp::read(0, 50, 0));
+    stream.push_back(march::MemOp::read(0, 3, 0));
+    stream.push_back(march::MemOp::read(0, 7, 0));
+    const std::vector<march::FaultGroup> groups{
+        {memsim::ReadDestructiveFault{{7, 0}, true}},
+        {memsim::ReadDestructiveFault{{7, 0}, true},
+         memsim::AddressDecoderFault{3, {}}},
+        {memsim::AddressDecoderFault{9, {}},
+         memsim::ReadDestructiveFault{{7, 0}, true}}};
+    expect_kernels_agree(stream, kSparse, groups);
+    const auto packed = CampaignRunner{{.jobs = 1}}.run_groups(
+        stream, kSparse, groups);
+    EXPECT_FALSE(packed.records[0].detected);
+    EXPECT_EQ(packed.records[1].detected, !gap);
+    if (!gap) {
+      EXPECT_EQ(packed.records[1].first_failure_op, n + 2);
+    }
+  }
+}
+
+TEST(Projection, RetentionDecayAcrossPausesAndSkippedGaps) {
+  // Pauses are never skipped: the DRF cell decays over the pause however
+  // many skipped ops surround it, unless it is rewritten first.
+  march::OpStream stream = zero_fill(kSparse);
+  stream.push_back(march::MemOp::write(0, 5, 1));
+  stream.push_back(march::MemOp::write(0, 6, 1));
+  for (memsim::Address a = 10; a < 60; ++a)
+    stream.push_back(march::MemOp::write(0, a, 1));
+  stream.push_back(march::MemOp::pause(2'000));
+  for (memsim::Address a = 10; a < 60; ++a)
+    stream.push_back(march::MemOp::read(0, a, 1));
+  stream.push_back(march::MemOp::write(0, 6, 1));
+  stream.push_back(march::MemOp::read(0, 5, 1));
+  stream.push_back(march::MemOp::read(0, 6, 1));
+  const std::vector<march::FaultGroup> groups{
+      {memsim::DataRetentionFault{{5, 0}, false, 1'000}},
+      {memsim::DataRetentionFault{{6, 0}, false, 1'000}},
+      {memsim::DataRetentionFault{{5, 0}, false, 5'000}}};
+  expect_kernels_agree(stream, kSparse, groups);
+  const auto packed = CampaignRunner{{.jobs = 1}}.run_groups(stream, kSparse,
+                                                             groups);
+  EXPECT_TRUE(packed.records[0].detected);
+  EXPECT_FALSE(packed.records[1].detected);
+  EXPECT_FALSE(packed.records[2].detected);
+}
+
+TEST(Projection, WordOrientedMultiportLibrary) {
+  const memsim::MemoryGeometry geom{.address_bits = 7, .word_bits = 4,
+                                    .num_ports = 2};
+  // March C++ has triple reads, March G pauses.
+  for (const char* name : {"March C++", "March G"}) {
+    const auto stream = march::expand(march::by_name(name), geom);
+    for (const FaultClass cls : {FaultClass::CFin, FaultClass::AF,
+                                 FaultClass::SOF, FaultClass::DRF,
+                                 FaultClass::DRDF}) {
+      SCOPED_TRACE(std::string{name} + " x " +
+                   std::string{memsim::fault_class_name(cls)});
+      expect_kernels_agree(
+          stream, geom,
+          singletons(march::make_fault_universe(cls, geom, 5, 70)));
+    }
+    SCOPED_TRACE(name);
+    expect_kernels_agree(
+        stream, geom,
+        singletons(march::make_intra_word_cf_universe(geom, 9, 70)));
+  }
+}
+
+TEST(Projection, ReadsThatFailInAFaultFreeMemory) {
+  // Raw streams only: a read before any write (power-up contents) and a
+  // read expecting the wrong word fail in every lane, at whatever address
+  // — involved by the pack or not — so every pack replays densely.
+  march::OpStream stream;
+  stream.push_back(march::MemOp::write(0, 5, 0));
+  stream.push_back(march::MemOp::read(0, 5, 0));
+  for (memsim::Address a = 20; a < 40; ++a)
+    stream.push_back(march::MemOp::read(0, a, 0));  // power-up contents
+  for (memsim::Address a = 0; a < kSparse.num_words(); ++a)
+    stream.push_back(march::MemOp::write(0, a, 1));
+  stream.push_back(march::MemOp::read(0, 44, 0));  // wrong word
+  stream.push_back(march::MemOp::read(0, 5, 1));
+  const std::vector<march::FaultGroup> groups{
+      {memsim::StuckAtFault{{5, 0}, true}},
+      {memsim::StuckAtFault{{5, 0}, false}},
+      {memsim::StuckAtFault{{22, 0}, false}},
+      {memsim::StuckAtFault{{44, 0}, true}},
+      {memsim::TransitionFault{{60, 0}, true}}};
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u})
+    expect_kernels_agree(stream, kSparse, groups, {1, 2}, seed);
+}
+
+TEST(Projection, ExpectedWordWiderThanTheMemoryFailsEveryLane) {
+  const memsim::MemoryGeometry geom{.address_bits = 6, .word_bits = 2,
+                                    .num_ports = 1};
+  march::OpStream stream = zero_fill(geom);
+  stream.push_back(march::MemOp::read(0, 3, 0));
+  stream.push_back(march::MemOp::read(0, 3, 0b100));  // bit 2 of a 2-bit word
+  stream.push_back(march::MemOp::read(0, 50, 0b100));
+  const std::vector<march::FaultGroup> groups{
+      {memsim::StuckAtFault{{3, 1}, false}},
+      {memsim::StuckAtFault{{9, 0}, false}}};
+  expect_kernels_agree(stream, geom, groups);
+  const auto packed =
+      CampaignRunner{{.jobs = 1}}.run_groups(stream, geom, groups);
+  EXPECT_EQ(packed.records[0].first_failure_op, geom.num_words() + 1);
+  EXPECT_EQ(packed.records[1].first_failure_op, geom.num_words() + 1);
+}
+
+TEST(Projection, ResetRestoresCellsThePreviousPackChanged) {
+  // reset() restores only what changed since the last reset.  Pack 0
+  // changes cell 9 without writing it — by SAF injection or by a coupling
+  // force — and ends on the IRF read before anything else touches 9; the
+  // one-lane pack 1 then reads 9 on the same worker's memory.
+  constexpr std::uint64_t kSeed = 3;
+  memsim::SramModel power_up{kSparse, kSeed};
+  const memsim::Word p3 = power_up.read(0, 3);
+  const memsim::Word p9 = power_up.read(0, 9);
+  const march::OpStream stream{
+      march::MemOp::write(0, 5, 0), march::MemOp::write(0, 5, 1),
+      march::MemOp::read(0, 3, p3), march::MemOp::read(0, 9, p9)};
+  const std::vector<memsim::Fault> changes_9{
+      memsim::StuckAtFault{{9, 0}, p9 == 0},
+      memsim::IdempotentCouplingFault{{5, 0}, {9, 0}, true, p9 == 0}};
+  for (const memsim::Fault& change : changes_9) {
+    std::vector<march::FaultGroup> groups(
+        64, {memsim::IncorrectReadFault{{3, 0}}, change});
+    groups.push_back({memsim::TransitionFault{{9, 0}, true}});
+    expect_kernels_agree(stream, kSparse, groups, {1}, kSeed);
+  }
+}
+
+TEST(Projection, PortAndNeighborhoodPacksTakeTheDenseReplay) {
+  // A port fault misreads at every address and an NPSF neighbour pattern
+  // can form anywhere, so their packs replay every op.  The companions
+  // are faults the projection would otherwise replay sparsely.
+  const memsim::MemoryGeometry geom{.address_bits = 7, .word_bits = 2,
+                                    .num_ports = 2};
+  const auto stream = march::expand(march::march_c(), geom);
+  std::vector<memsim::Fault> universe =
+      march::make_fault_universe(FaultClass::SAF, geom, 3, 70);
+  universe[10] = memsim::PortReadFault{1, 1};
+  universe[67] = memsim::NeighborhoodPatternFault{
+      {100, 0}, {{20, 1}, {90, 0}}, 0b11, false};
+  expect_kernels_agree(stream, geom, singletons(universe));
+  const auto packed = CampaignRunner{{.jobs = 1}}.run(stream, geom, universe);
+  EXPECT_TRUE(packed.records[10].detected);
+}
+
 }  // namespace

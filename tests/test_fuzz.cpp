@@ -572,7 +572,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzCfgDifferential, ::testing::Range(1, 97));
 
 // --- packed-kernel differential fuzz ----------------------------------
 
-memsim::Fault random_fault(std::mt19937& rng, const MemoryGeometry& g) {
+// `models` < 13 drops the last models of the list: 11 leaves out NPSF and
+// PF, the two whose packs the campaign kernel replays densely.
+memsim::Fault random_fault(std::mt19937& rng, const MemoryGeometry& g,
+                           unsigned models = 13) {
   auto cell = [&] {
     return memsim::BitRef{
         static_cast<memsim::Address>(rng() % g.num_words()),
@@ -584,7 +587,7 @@ memsim::Fault random_fault(std::mt19937& rng, const MemoryGeometry& g) {
     return b;
   };
   auto coin = [&] { return rng() % 2 == 0; };
-  switch (rng() % 13) {
+  switch (rng() % models) {
     case 0: return memsim::StuckAtFault{cell(), coin()};
     case 1: return memsim::TransitionFault{cell(), coin()};
     case 2: {
@@ -678,5 +681,111 @@ TEST_P(FuzzKernel, PackedMatchesScalarOnRandomUniverses) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzKernel, ::testing::Range(1, 65));
+
+// --- sparse-projection differential fuzz -----------------------------
+//
+// FuzzKernel's 4-16-word arrays put nearly every address in every pack,
+// and nearly every pack holds a PF or NPSF fault (dense replay).  This leg
+// draws 64-512-word arrays and groups without PF/NPSF, so the packed
+// kernel replays sparse projections of the stream.
+
+// A raw op stream expand() never produces: reads of never-written words,
+// reads expecting the wrong word, and long runs of random accesses (most
+// of them skipped by any one pack) between pauses.  Other reads expect
+// what a fault-free memory holds, so the faults decide most verdicts.
+march::OpStream random_raw_stream(std::mt19937& rng, const MemoryGeometry& g,
+                                  std::uint64_t seed) {
+  memsim::SramModel fault_free{g, seed};
+  march::OpStream stream;
+  const auto addr = [&] {
+    return static_cast<memsim::Address>(rng() % g.num_words());
+  };
+  const auto port = [&] {
+    return static_cast<int>(rng() % static_cast<unsigned>(g.num_ports));
+  };
+  const auto word = [&] { return memsim::Word{rng()} & g.word_mask(); };
+  const auto write = [&](memsim::Address a, memsim::Word w) {
+    fault_free.write(0, a, w);
+    stream.push_back(march::MemOp::write(port(), a, w));
+  };
+  // Reads before any write expect the power-up contents, except that one
+  // stream in eight expects a random word.  A read that fails in a
+  // fault-free memory fails in every lane, and its stream is replayed
+  // densely; a raw stream without one is projected.
+  const bool guess = rng() % 8 == 0;
+  for (int i = 0; i < 4; ++i) {
+    const memsim::Address a = addr();
+    stream.push_back(march::MemOp::read(
+        port(), a, guess && i == 3 ? word() : fault_free.read(0, a)));
+  }
+  const unsigned segments = 2 + rng() % 3;
+  for (unsigned s = 0; s < segments; ++s) {
+    if (rng() % 2 == 0)
+      for (memsim::Address a = 0; a < g.num_words(); ++a) write(a, word());
+    const std::size_t ops = g.num_words() * (1 + rng() % 2);
+    for (std::size_t k = 0; k < ops; ++k) {
+      const memsim::Address a = addr();
+      if (rng() % 3 == 0) {
+        write(a, word());
+      } else {
+        const bool wrong = rng() % (4 * ops) == 0;
+        stream.push_back(march::MemOp::read(
+            port(), a, wrong ? word() : fault_free.read(0, a)));
+      }
+    }
+    stream.push_back(
+        march::MemOp::pause(rng() % 2 == 0 ? 1'000'000 : 10));
+  }
+  return stream;
+}
+
+class FuzzProjection : public ::testing::TestWithParam<int> {};
+
+// Property: on arrays large enough for the projection to skip ops, for
+// expanded and raw streams alike, the packed kernel's records equal the
+// scalar reference's.
+TEST_P(FuzzProjection, PackedMatchesScalarOnSparseGeometries) {
+  std::mt19937 rng(static_cast<unsigned>(GetParam()) * 7919u);
+  const int words[] = {1, 2, 4};
+  const MemoryGeometry geometry{
+      .address_bits = 6 + static_cast<int>(rng() % 4),
+      .word_bits = words[rng() % 3],
+      .num_ports = 1 + static_cast<int>(rng() % 2)};
+  const std::uint64_t seed = rng();
+  const bool raw = GetParam() % 2 == 0;
+  const march::OpStream stream =
+      raw ? random_raw_stream(rng, geometry, seed)
+          : march::expand(random_algorithm(rng, /*allow_pauses=*/true),
+                          geometry);
+
+  std::vector<march::FaultGroup> groups(97);
+  for (auto& group : groups) {
+    const unsigned n = 1 + rng() % 3;
+    for (unsigned i = 0; i < n; ++i)
+      group.push_back(random_fault(rng, geometry, /*models=*/11));
+  }
+
+  const auto scalar =
+      march::CampaignRunner{{.jobs = 1,
+                             .powerup_seed = seed,
+                             .kernel = march::CampaignKernel::Scalar}}
+          .run_groups(stream, geometry, groups);
+  for (const int jobs : {1, 2}) {
+    const auto packed =
+        march::CampaignRunner{{.jobs = jobs,
+                               .powerup_seed = seed,
+                               .kernel = march::CampaignKernel::Packed}}
+            .run_groups(stream, geometry, groups);
+    ASSERT_EQ(scalar.records.size(), packed.records.size());
+    for (std::size_t i = 0; i < scalar.records.size(); ++i) {
+      ASSERT_EQ(scalar.records[i], packed.records[i])
+          << "group " << i << " jobs=" << jobs << (raw ? " raw" : " expanded")
+          << " stream, " << geometry.num_words() << "x" << geometry.word_bits
+          << "x" << geometry.num_ports;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FuzzProjection, ::testing::Range(1, 33));
 
 }  // namespace

@@ -25,7 +25,8 @@ file(WRITE ${WORK}/requests.ndjson
   "{\"id\":\"cov\",\"kind\":\"campaign\",\"algorithm\":\"MATS\",\"addr_bits\":4,\"samples\":4,\"jobs\":1}\n"
   "{\"id\":\"lint\",\"kind\":\"lint\",\"input\":\"March C\"}\n"
   "{\"id\":\"soc\",\"kind\":\"soc\",\"chip\":\"${chip_text}\",\"jobs\":1}\n"
-  "{\"id\":\"field\",\"kind\":\"field\",\"chip\":\"${chip_text}\",\"profile\":\"${profile_text}\",\"jobs\":1}\n")
+  "{\"id\":\"field\",\"kind\":\"field\",\"chip\":\"${chip_text}\",\"profile\":\"${profile_text}\",\"jobs\":1}\n"
+  "{\"id\":\"lintcert\",\"kind\":\"lint\",\"input\":\"${chip_text}\",\"unit\":\"${CHIP}\",\"certify\":true}\n")
 
 execute_process(
   COMMAND ${PMBIST_CLI} serve --payload-dir ${WORK}/payloads
@@ -64,7 +65,16 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "pmbist field exited ${rc}")
 endif()
 
-foreach(pair "cov" "lint" "soc" "field")
+# A chip with --certify runs the scheduling phase: one worker inside a
+# serve session, all cores in the CLI, the same schedule and report.
+execute_process(
+  COMMAND ${PMBIST_CLI} lint ${CHIP} --certify
+  OUTPUT_FILE ${WORK}/lintcert.cli ERROR_VARIABLE ignored RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "pmbist lint --certify exited ${rc}")
+endif()
+
+foreach(pair "cov" "lint" "soc" "field" "lintcert")
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E compare_files
             ${WORK}/payloads/${pair}.out ${WORK}/${pair}.cli
