@@ -11,11 +11,13 @@
 # test_campaign the packed kernel under threads, test_serve the session
 # pool and shared caches, test_backend the sharded memtest engine) for
 # data races, an Address+UndefinedBehaviorSanitizer build of
-# the thread pool, linter, controller, fuzz, campaign, and backend suites
-# (test_thread_pool runs with detect_stack_use_after_return=1, so a worker
-# touching the caller's dead frame is reported; the scalar/packed
-# equivalence sweep under ASan pins the packed kernel's lane bookkeeping;
-# test_backend pins the mmap'd hostram path),
+# the thread pool, linter, controller, fuzz, campaign, backend, serve, soc
+# and field suites (test_thread_pool runs with
+# detect_stack_use_after_return=1, so a worker touching the caller's dead
+# frame is reported; the scalar/packed equivalence sweep under ASan pins
+# the packed kernel's lane bookkeeping; test_backend pins the mmap'd
+# hostram path; test_serve the TCP transport's descriptor handling;
+# test_soc and test_field the host-RAM instance memories),
 # and (when clang-tidy is installed) a
 # static-analysis pass over the lint subsystem.  Mirrors
 # .github/workflows/ci.yml so the pipeline can be reproduced locally with a
@@ -141,13 +143,14 @@ cmake --build build-tsan -j "${JOBS}" --target test_campaign --target test_soc \
 ./build-tsan/tests/test_serve
 ./build-tsan/tests/test_backend
 
-echo "== asan+ubsan: thread pool, linter, controllers, fuzz, packed-kernel equivalence =="
+echo "== asan+ubsan: thread pool, linter, controllers, fuzz, packed-kernel equivalence, serve, soc, field =="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPMBIST_WERROR=ON \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build build-asan -j "${JOBS}" \
   --target test_lint --target test_fuzz --target test_ucode --target test_pfsm \
-  --target test_campaign --target test_backend --target test_thread_pool
+  --target test_campaign --target test_backend --target test_thread_pool \
+  --target test_serve --target test_soc --target test_field
 ASAN_OPTIONS=detect_stack_use_after_return=1 ./build-asan/tests/test_thread_pool
 ./build-asan/tests/test_lint
 ./build-asan/tests/test_fuzz
@@ -155,6 +158,9 @@ ASAN_OPTIONS=detect_stack_use_after_return=1 ./build-asan/tests/test_thread_pool
 ./build-asan/tests/test_pfsm
 ./build-asan/tests/test_campaign
 ./build-asan/tests/test_backend
+./build-asan/tests/test_serve
+./build-asan/tests/test_soc
+./build-asan/tests/test_field
 
 if command -v clang-tidy > /dev/null; then
   echo "== clang-tidy: src/ tools/ tests/ =="

@@ -1,29 +1,20 @@
 #pragma once
-// Pluggable memory-under-test backends.
+// Memory-under-test backend selection.
 //
-// Every engine in this repo drives a memory through the same five verbs a
-// BIST datapath needs — open, read, write, fence, close — plus a
-// time-advance hook for data-retention phases.  MemoryBackend abstracts
-// that surface so the march semantics (march/expand.h) stay decoupled from
-// what actually stores the bits:
+// Every engine in this repo drives a memory through memsim::Memory — the
+// per-port read/write verbs a BIST datapath needs, plus a time-advance
+// hook for data-retention phases.  A backend is a choice of what stores
+// the bits behind that one interface:
 //
-//   SimBackend      (sim_backend.h)      the behavioral fault simulator —
-//                                        bit-identical to the pre-backend
-//                                        direct-simulator path;
-//   HostRamBackend  (hostram_backend.h)  a large mmap'd anonymous buffer in
-//                                        host RAM — the software-memtest
-//                                        substrate (backend/memtest.h).
+//   Sim      the behavioral simulator (memsim::SramModel / FaultyMemory);
+//   HostRam  HostRamBackend (hostram_backend.h), a large mmap'd anonymous
+//            buffer in host RAM — the software-memtest substrate
+//            (backend/memtest.h).
 //
-// bist::run_session and march::run_stream execute through this interface;
-// their memsim::Memory& overloads wrap the memory in a borrowing
-// SimBackend, so every historical call site is byte-identical by
-// construction.  The inverse adapter (BackendMemory below) lets machinery
-// written against memsim::Memory — repair views, transparent streams —
-// run over any backend.  docs/BACKEND.md documents the contract.
+// docs/BACKEND.md documents the contract.
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string_view>
 
@@ -51,85 +42,5 @@ enum class BackendKind : std::uint8_t {
 [[nodiscard]] std::string_view to_string(BackendKind kind);
 /// Parses "sim" / "hostram"; nullopt otherwise.
 [[nodiscard]] std::optional<BackendKind> parse_backend(std::string_view name);
-
-/// Static capability descriptor: what a backend can and cannot model.
-struct Capabilities {
-  bool behavioral = false;       ///< fault injection / retention modeling
-  bool direct_map = false;       ///< mapped_words() exposes the storage
-  bool huge_pages = false;       ///< backing actually uses huge pages
-  std::size_t page_bytes = 0;    ///< backing page size (0 = not paged)
-
-  friend bool operator==(const Capabilities&, const Capabilities&) = default;
-};
-
-/// Abstract memory-under-test backend.  Same access contract as
-/// memsim::Memory (ports exercised sequentially, words masked to the
-/// geometry's width) plus explicit open/close lifecycle and an ordering
-/// fence.  Implementations open themselves on construction; close() is
-/// idempotent and runs again from the destructor.
-class MemoryBackend {
- public:
-  explicit MemoryBackend(MemoryGeometry geometry) : geometry_{geometry} {}
-  virtual ~MemoryBackend() = default;
-
-  MemoryBackend(const MemoryBackend&) = delete;
-  MemoryBackend& operator=(const MemoryBackend&) = delete;
-
-  [[nodiscard]] const MemoryGeometry& geometry() const noexcept {
-    return geometry_;
-  }
-
-  [[nodiscard]] virtual std::string_view name() const = 0;
-  [[nodiscard]] virtual Capabilities capabilities() const = 0;
-
-  /// (Re)acquires the backing storage.  Idempotent.
-  virtual void open() {}
-  /// Releases the backing storage.  Idempotent; read/write after close()
-  /// is undefined.
-  virtual void close() {}
-  [[nodiscard]] virtual bool is_open() const { return true; }
-
-  [[nodiscard]] virtual Word read(int port, Address addr) = 0;
-  virtual void write(int port, Address addr, Word data) = 0;
-
-  /// Orders all prior accesses before all later ones (a no-op for the
-  /// single-threaded simulator; a hardware fence for real memory).
-  virtual void fence() {}
-
-  /// Advances simulated wall-clock time (pause / data-retention phases).
-  virtual void advance_time_ns(std::uint64_t ns) { (void)ns; }
-
-  /// Direct word-array view of the storage when the backend is plainly
-  /// mapped (Capabilities::direct_map) — the word-width batched fast path
-  /// of the memtest engine.  Empty for behavioral backends, which must see
-  /// every access to model faults.
-  [[nodiscard]] virtual std::span<Word> mapped_words() { return {}; }
-
- private:
-  MemoryGeometry geometry_;
-};
-
-/// Inverse adapter: presents a MemoryBackend as a memsim::Memory, so
-/// machinery written against the simulator interface (repair::
-/// RepairedMemory, diag transparent streams, the field manager's views)
-/// runs over any backend.  Borrows; `backend` must outlive the adapter.
-class BackendMemory final : public memsim::Memory {
- public:
-  explicit BackendMemory(MemoryBackend& backend)
-      : Memory{backend.geometry()}, backend_{&backend} {}
-
-  [[nodiscard]] Word read(int port, Address addr) override {
-    return backend_->read(port, addr);
-  }
-  void write(int port, Address addr, Word data) override {
-    backend_->write(port, addr, data);
-  }
-  void advance_time_ns(std::uint64_t ns) override {
-    backend_->advance_time_ns(ns);
-  }
-
- private:
-  MemoryBackend* backend_;
-};
 
 }  // namespace pmbist::backend

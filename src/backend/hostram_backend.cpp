@@ -3,7 +3,6 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cassert>
 #include <cerrno>
 #include <cstring>
@@ -21,35 +20,26 @@ std::size_t round_up(std::size_t bytes, std::size_t unit) {
 }  // namespace
 
 HostRamBackend::HostRamBackend(MemoryGeometry geometry, HostRamOptions options)
-    : MemoryBackend{geometry}, options_{options} {
+    : Memory{geometry} {
   if (geometry.num_ports != 1) {
     throw BackendError{
         "hostram backend models a single port (got " +
         std::to_string(geometry.num_ports) +
         "); multi-port semantics need the sim backend"};
   }
-  open();
-}
-
-HostRamBackend::~HostRamBackend() { close(); }
-
-void HostRamBackend::open() {
-  if (words_ != nullptr) return;
-  const std::size_t bytes = geometry().num_words() * sizeof(Word);
+  const std::size_t bytes = geometry.num_words() * sizeof(Word);
 
   void* mapping = MAP_FAILED;
-  huge_pages_ = false;
-  page_bytes_ = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-  std::size_t mapped = round_up(bytes, page_bytes_);
+  std::size_t mapped =
+      round_up(bytes, static_cast<std::size_t>(sysconf(_SC_PAGESIZE)));
 
 #ifdef MAP_HUGETLB
-  if (options_.request_huge_pages) {
+  if (options.request_huge_pages) {
     const std::size_t huge = round_up(bytes, kHugePageBytes);
     mapping = mmap(nullptr, huge, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_HUGETLB, -1, 0);
     if (mapping != MAP_FAILED) {
       huge_pages_ = true;
-      page_bytes_ = kHugePageBytes;
       mapped = huge;
     }
   }
@@ -62,7 +52,7 @@ void HostRamBackend::open() {
                          " bytes failed: " + std::strerror(errno)};
     }
 #ifdef MADV_HUGEPAGE
-    if (options_.request_huge_pages) {
+    if (options.request_huge_pages) {
       // Best effort: let transparent huge pages coalesce the region.
       (void)madvise(mapping, mapped, MADV_HUGEPAGE);
     }
@@ -72,19 +62,7 @@ void HostRamBackend::open() {
   mapped_bytes_ = mapped;
 }
 
-void HostRamBackend::close() {
-  if (words_ == nullptr) return;
-  (void)munmap(words_, mapped_bytes_);
-  words_ = nullptr;
-  mapped_bytes_ = 0;
-}
-
-Capabilities HostRamBackend::capabilities() const {
-  return Capabilities{.behavioral = false,
-                      .direct_map = true,
-                      .huge_pages = huge_pages_,
-                      .page_bytes = page_bytes_};
-}
+HostRamBackend::~HostRamBackend() { (void)munmap(words_, mapped_bytes_); }
 
 Word HostRamBackend::read(int port, Address addr) {
   assert(port == 0 && addr < geometry().num_words());
@@ -96,23 +74,6 @@ void HostRamBackend::write(int port, Address addr, Word data) {
   assert(port == 0 && addr < geometry().num_words());
   (void)port;
   words_[addr] = data & geometry().word_mask();
-}
-
-void HostRamBackend::fence() {
-#if defined(__SANITIZE_THREAD__)
-  // TSan does not model free-standing fences (gcc -Wtsan); a seq-cst RMW
-  // on a private atomic has the same ordering strength and is visible to
-  // the race detector.
-  static std::atomic<int> sync{0};
-  sync.fetch_add(1, std::memory_order_seq_cst);
-#else
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-#endif
-}
-
-std::span<Word> HostRamBackend::mapped_words() {
-  if (words_ == nullptr) return {};
-  return {words_, geometry().num_words()};
 }
 
 }  // namespace pmbist::backend

@@ -1,24 +1,22 @@
 #pragma once
 // HostRamBackend: march streams against real host memory.
 //
-// The backing store is a large mmap'd anonymous buffer — one 64-bit host
-// word per memory cell, zero-filled by the kernel.  Reads mask to the
-// geometry's word width; writes store the masked value, so the backend
-// honors the same access contract as the simulator (and produces the same
-// values the march expansion expects).
+// A memsim::Memory whose backing store is a large mmap'd anonymous buffer
+// — one 64-bit host word per memory cell, zero-filled by the kernel.
+// Reads mask to the geometry's word width; writes store the masked value,
+// so it honors the same access contract as the simulator (and produces
+// the same values the march expansion expects).  Pause phases advance no
+// state: nothing decays.
 //
 // Huge pages are a request, not a requirement: when
 // HostRamOptions::request_huge_pages is set the backend first tries
 // MAP_HUGETLB and, if the kernel refuses (no hugetlb pool configured),
 // falls back to a normal mapping plus madvise(MADV_HUGEPAGE) so
-// transparent huge pages can still coalesce it.  capabilities().huge_pages
-// reports what actually happened.
-//
-// fence() is a sequentially-consistent std::atomic_thread_fence — the
-// memtest engine issues one at every shard barrier so each march element's
-// stores are globally visible before the next element's loads.
+// transparent huge pages can still coalesce it.  huge_pages() reports
+// what actually happened.
 
 #include <cstddef>
+#include <span>
 
 #include "backend/backend.h"
 
@@ -29,7 +27,7 @@ struct HostRamOptions {
   bool request_huge_pages = false;
 };
 
-class HostRamBackend final : public MemoryBackend {
+class HostRamBackend final : public memsim::Memory {
  public:
   /// Maps geometry.num_words() host words.  Throws BackendError when the
   /// geometry needs more than one port (host RAM has no port semantics to
@@ -37,30 +35,21 @@ class HostRamBackend final : public MemoryBackend {
   explicit HostRamBackend(MemoryGeometry geometry, HostRamOptions options = {});
   ~HostRamBackend() override;
 
-  [[nodiscard]] std::string_view name() const override { return "hostram"; }
-  [[nodiscard]] Capabilities capabilities() const override;
-
-  void open() override;
-  void close() override;
-  [[nodiscard]] bool is_open() const override { return words_ != nullptr; }
-
   [[nodiscard]] Word read(int port, Address addr) override;
   void write(int port, Address addr, Word data) override;
-  void fence() override;
-  void advance_time_ns(std::uint64_t ns) override { elapsed_ns_ += ns; }
 
-  [[nodiscard]] std::span<Word> mapped_words() override;
-
-  /// Simulated-time accumulator (pause phases advance it; nothing decays).
-  [[nodiscard]] std::uint64_t elapsed_ns() const { return elapsed_ns_; }
+  /// The mapped storage, one word per cell — the memtest engine's
+  /// compare-only sweeps run over it directly.
+  [[nodiscard]] std::span<Word> words() {
+    return {words_, geometry().num_words()};
+  }
+  /// Whether the mapping actually uses huge pages.
+  [[nodiscard]] bool huge_pages() const { return huge_pages_; }
 
  private:
-  HostRamOptions options_;
   Word* words_ = nullptr;
   std::size_t mapped_bytes_ = 0;
   bool huge_pages_ = false;
-  std::size_t page_bytes_ = 0;
-  std::uint64_t elapsed_ns_ = 0;
 };
 
 }  // namespace pmbist::backend

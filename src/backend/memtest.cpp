@@ -1,6 +1,7 @@
 #include "backend/memtest.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <cinttypes>
@@ -8,7 +9,6 @@
 #include <memory>
 
 #include "backend/hostram_backend.h"
-#include "backend/sim_backend.h"
 #include "backend/sweep.h"
 #include "bist/misr.h"
 #include "common/thread_pool.h"
@@ -23,20 +23,18 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-std::unique_ptr<MemoryBackend> make_backend(BackendKind kind,
-                                            const MemoryGeometry& geometry,
-                                            bool huge_pages) {
-  switch (kind) {
-    case BackendKind::Sim:
-      // Zero fill matches the kernel's zero-filled anonymous mapping, so
-      // the two backends see identical pre-test contents (and the first
-      // march element is required to be a write anyway).
-      return std::make_unique<SimBackend>(geometry, Word{0});
-    case BackendKind::HostRam:
-      return std::make_unique<HostRamBackend>(
-          geometry, HostRamOptions{.request_huge_pages = huge_pages});
-  }
-  throw BackendError{"unknown backend kind"};
+/// Orders every shard's accesses in one march element before the next
+/// element's: the barrier between elements.
+void element_fence() {
+#if defined(__SANITIZE_THREAD__)
+  // TSan does not model free-standing fences (gcc -Wtsan); a seq-cst RMW
+  // on a private atomic has the same ordering strength and is visible to
+  // the race detector.
+  static std::atomic<int> sync{0};
+  sync.fetch_add(1, std::memory_order_seq_cst);
+#else
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+#endif
 }
 
 }  // namespace
@@ -97,8 +95,21 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
   }
 
   const MemoryGeometry geometry = memtest_geometry(options.size_bytes);
-  const auto backend =
-      make_backend(options.backend, geometry, options.huge_pages);
+  MemtestReport report;
+  // Host RAM exposes its mapping; the simulator is a zero-filled SramModel,
+  // matching the kernel's zero-filled anonymous mapping, so both see
+  // identical pre-test contents (the first element must write anyway).
+  std::unique_ptr<memsim::Memory> memory;
+  std::span<Word> direct;
+  if (options.backend == BackendKind::HostRam) {
+    auto ram = std::make_unique<HostRamBackend>(
+        geometry, HostRamOptions{.request_huge_pages = options.huge_pages});
+    direct = ram->words();
+    report.huge_pages = ram->huge_pages();
+    memory = std::move(ram);
+  } else {
+    memory = std::make_unique<memsim::SramModel>(geometry, Word{0}, true);
+  }
 
   std::vector<Word> backgrounds = march::standard_backgrounds(64);
   if (options.backgrounds > 0 &&
@@ -113,15 +124,13 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
 
   std::vector<detail::ShardState> states(static_cast<std::size_t>(shards));
 
-  MemtestReport report;
   report.algorithm = alg.name();
-  report.backend_name = std::string{backend->name()};
+  report.backend_name = std::string{to_string(options.backend)};
   report.geometry = geometry;
   report.buffer_bytes = geometry.num_words() * sizeof(Word);
   report.shards = shards;
   report.passes = options.passes;
   report.backgrounds = static_cast<int>(backgrounds.size());
-  report.huge_pages = backend->capabilities().huge_pages;
   report.misr_width = options.misr_width;
   for (const march::MarchElement& el : alg.elements()) {
     MemtestPhase phase;
@@ -130,13 +139,11 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
     report.phases.push_back(std::move(phase));
   }
 
-  // When the backend maps its storage directly, each element runs as a
-  // compare-only sweep over the shard's words (backend/sweep.h).  The
-  // behavioral path goes through the virtual interface so the simulator
-  // observes every access, and clocks a serial MISR on every read: the
-  // reference the sweeps are tested against.  Both walk the same
-  // addresses in the same order, so reports agree.
-  const std::span<Word> direct = backend->mapped_words();
+  // On host RAM each element runs as a compare-only sweep over the
+  // shard's words (backend/sweep.h).  The simulator goes through the
+  // virtual interface so it observes every access, and clocks a serial
+  // MISR on every read: the reference the sweeps are tested against.
+  // Both walk the same addresses in the same order, so reports agree.
 
   const auto simulate_element_on_shard = [&](int shard,
                                              const march::MarchElement& el,
@@ -152,10 +159,10 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
       for (const march::MarchOp& op : el.ops) {
         const Word value = march::apply_background(op.data, bg, mask);
         if (op.kind == march::MarchOp::Kind::Write) {
-          backend->write(0, addr, value);
+          memory->write(0, addr, value);
           ++st.writes;
         } else {
-          const Word actual = backend->read(0, addr);
+          const Word actual = memory->read(0, addr);
           misr.absorb(actual);
           ++st.reads;
           if (actual != value) {
@@ -220,7 +227,7 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
         const march::MarchElement& el = alg.elements()[e];
         MemtestPhase& phase = report.phases[e];
         if (el.is_pause) {
-          backend->advance_time_ns(el.pause_ns);
+          memory->advance_time_ns(el.pause_ns);
           ++report.pauses;
           continue;
         }
@@ -229,12 +236,12 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
           report.injected = true;
           const auto target = static_cast<Address>(words_per_shard / 2);
           const Word current = !direct.empty() ? direct[target]
-                                               : backend->read(0, target);
+                                               : memory->read(0, target);
           const Word flipped = (current ^ Word{1}) & mask;
           if (!direct.empty()) {
             direct[target] = flipped;
           } else {
-            backend->write(0, target, flipped);
+            memory->write(0, target, flipped);
           }
         }
         const auto phase_start = Clock::now();
@@ -253,7 +260,7 @@ MemtestReport run_memtest(const march::MarchAlgorithm& alg,
                       states[static_cast<std::size_t>(shard)]);
           });
         }
-        backend->fence();
+        element_fence();
         phase.seconds += seconds_since(phase_start);
         std::uint64_t phase_reads = 0;
         std::uint64_t phase_writes = 0;

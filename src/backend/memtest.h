@@ -1,9 +1,10 @@
 #pragma once
 // Host-RAM memtest engine: march algorithms against real memory.
 //
-// The engine expands a march algorithm over a large buffer exposed by a
-// MemoryBackend and reports per-phase sustained throughput plus a MISR
-// signature of every read response.  Semantics mirror the BIST controllers
+// The engine expands a march algorithm over a large buffer — a
+// HostRamBackend mapping or a zero-filled SramModel — and reports
+// per-phase sustained throughput plus a MISR signature of every read
+// response.  Semantics mirror the BIST controllers
 // with one deliberate deviation, chosen for parallel speed and
 // jobs-invariance:
 //
@@ -15,7 +16,7 @@
 //   bit-identical for every worker count and both backends.
 //
 // March elements are barriers: all shards finish element k (with a
-// backend fence) before any shard starts element k+1.  Per-element wall
+// seq-cst fence) before any shard starts element k+1.  Per-element wall
 // time across those barriers is what the GB/s report measures.
 //
 // docs/BACKEND.md documents the engine; ```memtest-check fences there are

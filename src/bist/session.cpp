@@ -1,11 +1,8 @@
 #include "bist/session.h"
 
-#include "backend/sim_backend.h"
-
 namespace pmbist::bist {
 
-SessionResult run_session(Controller& controller,
-                          backend::MemoryBackend& memory,
+SessionResult run_session(Controller& controller, memsim::Memory& memory,
                           const SessionOptions& options) {
   controller.reset();
   SessionResult result;
@@ -39,12 +36,6 @@ SessionResult run_session(Controller& controller,
   }
   result.state = SessionState::Completed;
   return result;
-}
-
-SessionResult run_session(Controller& controller, memsim::Memory& memory,
-                          const SessionOptions& options) {
-  backend::SimBackend sim{memory};
-  return run_session(controller, sim, options);
 }
 
 }  // namespace pmbist::bist

@@ -7,10 +7,6 @@
 #include "march/coverage.h"
 #include "memsim/memory.h"
 
-namespace pmbist::backend {
-class MemoryBackend;  // backend/backend.h
-}
-
 namespace pmbist::bist {
 
 /// How a BIST run ended.  A session that hits the cycle bound — or is
@@ -50,15 +46,8 @@ struct SessionOptions {
   std::size_t max_failures = 64;  ///< failure-log capacity (run continues)
 };
 
-/// Runs `controller` to completion against a pluggable memory backend —
-/// the canonical session loop (backend/backend.h).
-SessionResult run_session(Controller& controller,
-                          backend::MemoryBackend& memory,
-                          const SessionOptions& options = {});
-
-/// Runs `controller` to completion against a behavioral memory.  Wraps
-/// `memory` in a borrowing SimBackend, so the access sequence — and hence
-/// every result — is bit-identical to driving the simulator directly.
+/// Runs `controller` to completion against `memory` — the behavioral
+/// simulator or host RAM (backend/hostram_backend.h).
 SessionResult run_session(Controller& controller, memsim::Memory& memory,
                           const SessionOptions& options = {});
 

@@ -8,7 +8,6 @@
 #include <numeric>
 #include <set>
 
-#include "backend/hostram_backend.h"
 #include "bist/misr.h"
 #include "common/cancel.h"
 #include "common/thread_pool.h"
@@ -97,44 +96,15 @@ void execute_participant(const Participant& p,
                          FieldInstanceResult& out) {
   const auto& inst = *p.instance;
   const auto& g = inst.geometry;
-  // Backing storage per the selected backend: the behavioral simulator
-  // (fault injection, pseudo-random power-up) or a hostram mapping through
-  // the BackendMemory adapter.  run() has already rejected hostram+faults.
-  std::unique_ptr<memsim::FaultyMemory> sim;
-  std::unique_ptr<backend::HostRamBackend> hostram;
-  std::unique_ptr<backend::BackendMemory> hostram_view;
-  if (options.backend == backend::BackendKind::Sim) {
-    sim = std::make_unique<memsim::FaultyMemory>(g, inst.powerup_seed);
-    try {
-      for (const auto& f : inst.faults) sim->add_fault(f);
-    } catch (const std::exception& e) {
-      throw soc::SocError{"instance '" + inst.name + "': " + e.what()};
-    }
-  } else {
-    try {
-      hostram = std::make_unique<backend::HostRamBackend>(g);
-    } catch (const backend::BackendError& e) {
-      throw soc::SocError{"instance '" + inst.name + "': " + e.what()};
-    }
-    // Transparent BIST preserves — and therefore observes — the memory's
-    // existing contents, so the power-up image is part of every pass
-    // signature.  Seed the mapping with the simulator's deterministic
-    // power-up pattern to keep reports backend-invariant.
-    memsim::SramModel image{g, inst.powerup_seed};
-    const auto words = hostram->mapped_words();
-    for (memsim::Address a = 0; a < g.num_words(); ++a)
-      words[a] = image.read(0, a);
-    hostram_view = std::make_unique<backend::BackendMemory>(*hostram);
-  }
-  memsim::Memory& base =
-      sim ? static_cast<memsim::Memory&>(*sim) : *hostram_view;
+  // run() has already rejected hostram+faults.
+  const auto base = soc::make_instance_memory(inst, options.backend);
   struct RepairState {
     memsim::ArrayTopology topology;
     repair::RepairSolution solution;
     std::unique_ptr<repair::RepairedMemory> view;
   };
   std::unique_ptr<RepairState> repaired;
-  memsim::Memory* view = &base;
+  memsim::Memory* view = base.get();
 
   for (const auto& pe : passes) {
     // Seed capture (the hardware's signature-prediction read pass), then
@@ -201,7 +171,7 @@ void execute_participant(const Participant& p,
         outcome.spare_cols_used =
             static_cast<int>(rs->solution.cols_replaced.size());
         rs->view = std::make_unique<repair::RepairedMemory>(
-            base, rs->topology, rs->solution);
+            *base, rs->topology, rs->solution);
         repaired = std::move(rs);
         view = repaired->view.get();
       }
@@ -241,16 +211,7 @@ FieldReport FieldManager::run(const soc::SocDescription& chip,
   const auto t0 = std::chrono::steady_clock::now();
   plan.validate(chip);
   profile.validate(chip);
-  if (options_.backend == backend::BackendKind::HostRam) {
-    for (const auto& m : chip.memories()) {
-      if (!m.faults.empty()) {
-        throw soc::SocError{
-            "instance '" + m.name +
-            "' injects faults; fault injection requires the sim backend "
-            "(--backend sim)"};
-      }
-    }
-  }
+  soc::check_backend_supports(chip, options_.backend);
 
   const std::uint64_t horizon = profile.effective_horizon();
   const auto& assignments = plan.assignments();

@@ -4,7 +4,6 @@
 #include <iomanip>
 #include <sstream>
 
-#include "backend/sim_backend.h"
 #include "march/campaign.h"
 #include "march/library.h"
 
@@ -47,8 +46,7 @@ constexpr std::uint64_t kDrfHoldNs = kDefaultPauseNs / 2;
 
 }  // namespace
 
-RunResult run_stream(std::span<const MemOp> stream,
-                     backend::MemoryBackend& memory,
+RunResult run_stream(std::span<const MemOp> stream, memsim::Memory& memory,
                      std::size_t max_failures) {
   RunResult result;
   for (std::size_t i = 0; i < stream.size(); ++i) {
@@ -71,12 +69,6 @@ RunResult run_stream(std::span<const MemOp> stream,
     }
   }
   return result;
-}
-
-RunResult run_stream(std::span<const MemOp> stream, memsim::Memory& memory,
-                     std::size_t max_failures) {
-  backend::SimBackend sim{memory};
-  return run_stream(stream, sim, max_failures);
 }
 
 std::vector<Fault> make_fault_universe(FaultClass cls,

@@ -21,10 +21,6 @@
 #include "march/kernel.h"
 #include "memsim/faulty_memory.h"
 
-namespace pmbist::backend {
-class MemoryBackend;  // backend/backend.h
-}
-
 namespace pmbist::march {
 
 class StreamCache;  // campaign.h
@@ -47,15 +43,8 @@ struct RunResult {
   [[nodiscard]] bool passed() const noexcept { return failures.empty(); }
 };
 
-/// Applies a stream to a pluggable memory backend, recording up to
-/// `max_failures` mismatches (the run always completes; capping only
-/// bounds the log).  The canonical stream loop (backend/backend.h).
-RunResult run_stream(std::span<const MemOp> stream,
-                     backend::MemoryBackend& memory,
-                     std::size_t max_failures = 64);
-
-/// Applies a stream to a behavioral memory.  Wraps `memory` in a borrowing
-/// SimBackend; the access sequence is bit-identical to the direct path.
+/// Applies a stream to `memory`, recording up to `max_failures`
+/// mismatches (the run always completes; capping only bounds the log).
 RunResult run_stream(std::span<const MemOp> stream, memsim::Memory& memory,
                      std::size_t max_failures = 64);
 

@@ -493,6 +493,12 @@ int Server::serve_tcp(int port, const std::function<void(int)>& ready,
       // client that half-closes after its last request still receives
       // every terminal event.
       for (const std::string& id : posted) wait_finished(id);
+      // Forget the descriptor before releasing its number, so the
+      // shutdown path below never touches a number reused elsewhere.
+      {
+        std::lock_guard forget{tcp_->mu};
+        std::erase(tcp_->client_fds, cfd);
+      }
       ::close(cfd);
     });
   }
@@ -507,8 +513,8 @@ int Server::serve_tcp(int port, const std::function<void(int)>& ready,
     tcp_->readers.clear();
     tcp_->client_fds.clear();
   }
-  ::close(fd);
   tcp_->listen_fd.store(-1);
+  ::close(fd);
   return 0;
 }
 

@@ -197,49 +197,12 @@ double peak_power_of(const std::vector<ScheduledSession>& sessions) {
   return peak;
 }
 
-/// Backing storage of one instance session under the selected backend:
-/// either the behavioral fault simulator or a hostram mapping presented
-/// through the BackendMemory adapter.  Movable, so a pending retest can
-/// carry the array state the first session left behind.
-struct InstanceBacking {
-  std::unique_ptr<memsim::FaultyMemory> sim;
-  std::unique_ptr<backend::HostRamBackend> hostram;
-  std::unique_ptr<backend::BackendMemory> view;
-
-  [[nodiscard]] memsim::Memory& memory() {
-    return sim ? static_cast<memsim::Memory&>(*sim) : *view;
-  }
-};
-
-InstanceBacking make_instance_backing(const MemoryInstance& instance,
-                                      backend::BackendKind kind) {
-  InstanceBacking backing;
-  if (kind == backend::BackendKind::Sim) {
-    backing.sim = std::make_unique<memsim::FaultyMemory>(
-        instance.geometry, instance.powerup_seed);
-    try {
-      for (const auto& fault : instance.faults) backing.sim->add_fault(fault);
-    } catch (const std::exception& e) {
-      throw SocError{"instance '" + instance.name + "': " + e.what()};
-    }
-    return backing;
-  }
-  try {
-    backing.hostram =
-        std::make_unique<backend::HostRamBackend>(instance.geometry);
-  } catch (const backend::BackendError& e) {
-    throw SocError{"instance '" + instance.name + "': " + e.what()};
-  }
-  backing.view = std::make_unique<backend::BackendMemory>(*backing.hostram);
-  return backing;
-}
-
 /// Repaired-but-not-yet-retested state carried from the first pass to the
-/// folded retest pass (fold_retests).  The backing keeps the array state
+/// folded retest pass (fold_retests).  The memory keeps the array state
 /// the first session left behind; the retest runs through the spare
 /// switch-in view exactly as the immediate retest would.
 struct PendingRetest {
-  InstanceBacking backing;
+  std::unique_ptr<memsim::Memory> memory;
   memsim::ArrayTopology topology;
   repair::RepairSolution solution;
 };
@@ -252,13 +215,13 @@ InstanceResult run_instance(const TestAssignment& assignment,
                             std::unique_ptr<PendingRetest>* deferred) {
   auto& controller = slot.prepare(assignment.controller, alg,
                                   instance.geometry);
-  auto backing = make_instance_backing(instance, options.backend);
+  auto memory = make_instance_memory(instance, options.backend);
   const bist::SessionOptions session_options{
       .max_cycles = options.max_cycles, .max_failures = options.max_failures};
   InstanceResult result{
       .memory = instance.name,
       .session =
-          bist::run_session(controller, backing.memory(), session_options),
+          bist::run_session(controller, *memory, session_options),
       .repair = std::nullopt};
   if (instance.repair.any() && instance.geometry.bit_oriented() &&
       !result.session.failures.empty()) {
@@ -276,9 +239,9 @@ InstanceResult run_instance(const TestAssignment& assignment,
       outcome.spare_cols_used = static_cast<int>(solution.cols_replaced.size());
       if (deferred != nullptr) {
         *deferred = std::make_unique<PendingRetest>(
-            PendingRetest{std::move(backing), topology, solution});
+            PendingRetest{std::move(memory), topology, solution});
       } else {
-        repair::RepairedMemory repaired{backing.memory(), topology, solution};
+        repair::RepairedMemory repaired{*memory, topology, solution};
         outcome.retest_passed =
             bist::run_session(controller, repaired, session_options).passed();
       }
@@ -358,6 +321,38 @@ std::unique_ptr<bist::Controller> make_plan_controller(
   throw SocError{"unreachable controller kind"};
 }
 
+void check_backend_supports(const SocDescription& chip,
+                            backend::BackendKind kind) {
+  if (kind != backend::BackendKind::HostRam) return;
+  for (const auto& m : chip.memories()) {
+    if (!m.faults.empty()) {
+      throw SocError{"instance '" + m.name +
+                     "' injects faults; fault injection requires the sim "
+                     "backend (--backend sim)"};
+    }
+  }
+}
+
+std::unique_ptr<memsim::Memory> make_instance_memory(
+    const MemoryInstance& instance, backend::BackendKind kind) {
+  try {
+    if (kind == backend::BackendKind::Sim) {
+      auto sim = std::make_unique<memsim::FaultyMemory>(instance.geometry,
+                                                        instance.powerup_seed);
+      for (const auto& fault : instance.faults) sim->add_fault(fault);
+      return sim;
+    }
+    auto ram = std::make_unique<backend::HostRamBackend>(instance.geometry);
+    const memsim::SramModel image{instance.geometry, instance.powerup_seed};
+    const auto words = ram->words();
+    for (std::size_t a = 0; a < words.size(); ++a)
+      words[a] = image.peek(static_cast<memsim::Address>(a));
+    return ram;
+  } catch (const std::exception& e) {
+    throw SocError{"instance '" + instance.name + "': " + e.what()};
+  }
+}
+
 int SocResult::healthy_count() const noexcept {
   int healthy = 0;
   for (const auto& r : instances)
@@ -378,18 +373,7 @@ std::vector<ScheduledSession> Scheduler::compute_schedule(
 SocResult Scheduler::run(const SocDescription& chip,
                          const TestPlan& plan) const {
   const auto t0 = std::chrono::steady_clock::now();
-  if (options_.backend == backend::BackendKind::HostRam) {
-    // Fail before any session runs: fault injection is a simulator
-    // concept, and a chip that declares faults would silently "pass" on
-    // real memory.
-    for (const auto& m : chip.memories()) {
-      if (!m.faults.empty()) {
-        throw SocError{"instance '" + m.name +
-                       "' injects faults; fault injection requires the sim "
-                       "backend (--backend sim)"};
-      }
-    }
-  }
+  check_backend_supports(chip, options_.backend);
   const auto tasks = compile_plan(chip, plan, options_);
   const auto& assignments = plan.assignments();
   const auto start = list_schedule(tasks, assignments, plan.power().budget);
@@ -455,7 +439,7 @@ SocResult Scheduler::run(const SocDescription& chip,
               auto& controller =
                   slot.prepare(assignments[idx].controller, tasks[idx].alg,
                                tasks[idx].mem->geometry);
-              repair::RepairedMemory repaired{p.backing.memory(), p.topology,
+              repair::RepairedMemory repaired{*p.memory, p.topology,
                                               p.solution};
               results[idx].repair->retest_passed =
                   bist::run_session(controller, repaired, session_options)

@@ -187,4 +187,20 @@ class Scheduler {
     const memsim::MemoryGeometry& geometry,
     std::uint64_t* load_cycles = nullptr);
 
+/// Throws SocError naming the first instance that injects faults when
+/// `kind` is HostRam: fault injection is a simulator concept, and a chip
+/// that declares faults would silently "pass" on real memory.  Shared by
+/// the scheduler and the in-field manager, which call it before any
+/// session runs.
+void check_backend_supports(const SocDescription& chip,
+                            backend::BackendKind kind);
+
+/// Fresh backing memory for one instance session: a FaultyMemory carrying
+/// the instance's faults, or (HostRam) a host-RAM mapping seeded with the
+/// simulator's power-up image, so passes that observe existing contents
+/// (transparent in-field BIST) report the same on both backends.  Throws
+/// SocError naming the instance.
+[[nodiscard]] std::unique_ptr<memsim::Memory> make_instance_memory(
+    const MemoryInstance& instance, backend::BackendKind kind);
+
 }  // namespace pmbist::soc

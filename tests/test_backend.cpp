@@ -1,13 +1,12 @@
-// The pluggable MemoryBackend subsystem (backend/): the interface and its
-// two implementations, the host-RAM memtest engine, and the contracts the
-// rest of the tree relies on —
+// The memory backends (backend/): HostRamBackend as a memsim::Memory, the
+// host-RAM memtest engine, and the contracts the rest of the tree relies
+// on —
 //
-//   * SimBackend is a zero-cost adapter: driving a session through it is
-//     bit-identical to driving the behavioral simulator directly;
-//   * HostRamBackend maps real anonymous memory but honors the same
-//     geometry/masking semantics, so every library algorithm (and a fuzzed
-//     corpus of generated ones) produces identical memtest signatures and
-//     verdicts on both backends;
+//   * HostRamBackend maps real anonymous memory but honors the simulator's
+//     geometry/masking semantics, so memsim machinery (sessions, repair
+//     views) runs on it unchanged, and every library algorithm (and a
+//     fuzzed corpus of generated ones) produces identical memtest
+//     signatures and verdicts on both backends;
 //   * memtest results are pure functions of (algorithm, size, passes,
 //     backgrounds) — never of --jobs — and injected mismatches are caught
 //     on both backends;
@@ -28,7 +27,6 @@
 #include "backend/backend.h"
 #include "backend/hostram_backend.h"
 #include "backend/memtest.h"
-#include "backend/sim_backend.h"
 #include "backend/sweep.h"
 #include "bist/misr.h"
 #include "bist/session.h"
@@ -42,6 +40,7 @@
 #include "memsim/faulty_memory.h"
 #include "memsim/memory.h"
 #include "netlist/tech_library.h"
+#include "repair/repaired_memory.h"
 #include "soc/chip.h"
 #include "soc/scheduler.h"
 
@@ -110,32 +109,27 @@ TEST(HostRamBackendTest, ReadWriteRoundTripWithMasking) {
   const memsim::MemoryGeometry g{.address_bits = 10, .word_bits = 16,
                                  .num_ports = 1};
   backend::HostRamBackend ram{g};
-  EXPECT_TRUE(ram.is_open());
-  EXPECT_EQ(ram.name(), "hostram");
-  EXPECT_TRUE(ram.capabilities().direct_map);
-  EXPECT_FALSE(ram.capabilities().behavioral);
 
   ram.write(0, 5, 0xFFFF'FFFF'FFFF'FFFFull);
   EXPECT_EQ(ram.read(0, 5), 0xFFFFu);  // stored masked to word_bits
   ram.write(0, 5, 0x1234u);
   EXPECT_EQ(ram.read(0, 5), 0x1234u);
-  ram.fence();
 
-  const auto words = ram.mapped_words();
+  const auto words = ram.words();
   ASSERT_EQ(words.size(), g.num_words());
   EXPECT_EQ(words[5], 0x1234u);
+  words[6] = 0xBEEF;  // the mapping is the storage
+  EXPECT_EQ(ram.read(0, 6), 0xBEEFu);
 
-  ram.advance_time_ns(100);
-  ram.close();
-  EXPECT_FALSE(ram.is_open());
-  ram.close();  // idempotent
+  ram.advance_time_ns(100);  // nothing decays
+  EXPECT_EQ(ram.read(0, 5), 0x1234u);
 }
 
 TEST(HostRamBackendTest, StartsZeroFilled) {
   const memsim::MemoryGeometry g{.address_bits = 12, .word_bits = 64,
                                  .num_ports = 1};
   backend::HostRamBackend ram{g};
-  for (const auto word : ram.mapped_words()) EXPECT_EQ(word, 0u);
+  for (const auto word : ram.words()) EXPECT_EQ(word, 0u);
 }
 
 TEST(HostRamBackendTest, RejectsMultiPortGeometries) {
@@ -146,72 +140,44 @@ TEST(HostRamBackendTest, RejectsMultiPortGeometries) {
 
 TEST(HostRamBackendTest, HugePageRequestDegradesGracefully) {
   // The request must succeed whether or not the host grants huge pages;
-  // the capability descriptor reports what actually happened.
+  // huge_pages() reports what actually happened, and a plain mapping
+  // never claims them.
   const memsim::MemoryGeometry g{.address_bits = 16, .word_bits = 64,
                                  .num_ports = 1};
   backend::HostRamBackend ram{g, {.request_huge_pages = true}};
-  EXPECT_GT(ram.capabilities().page_bytes, 0u);
+  EXPECT_EQ(ram.words().size(), g.num_words());
   ram.write(0, 0, 1);
   EXPECT_EQ(ram.read(0, 0), 1u);
+  EXPECT_EQ(ram.words()[0], 1u);
+  EXPECT_FALSE((backend::HostRamBackend{g}).huge_pages());
 }
 
-// --- SimBackend and the BackendMemory adapter -------------------------
-
-TEST(SimBackendTest, BorrowingAdapterForwardsToTheSimulator) {
-  const memsim::MemoryGeometry g{.address_bits = 6, .word_bits = 8,
-                                 .num_ports = 1};
-  memsim::SramModel sram{g};
-  backend::SimBackend sim{sram};
-  EXPECT_EQ(sim.name(), "sim");
-  EXPECT_TRUE(sim.capabilities().behavioral);
-  EXPECT_TRUE(sim.mapped_words().empty());  // no direct map
-
-  sim.write(0, 3, 0xAB);
-  EXPECT_EQ(sim.read(0, 3), sram.read(0, 3));
-  sram.write(0, 4, 0xCD);
-  EXPECT_EQ(sim.read(0, 4), 0xCDu);
-}
-
-TEST(SimBackendTest, OwningConstructorFillsTheModel) {
-  const memsim::MemoryGeometry g{.address_bits = 6, .word_bits = 64,
-                                 .num_ports = 1};
-  backend::SimBackend sim{g, 0};
-  for (memsim::Address a = 0; a < g.num_words(); ++a)
-    EXPECT_EQ(sim.read(0, a), 0u);
-}
-
-TEST(BackendMemoryTest, AdapterDrivesAnyBackendThroughTheMemsimInterface) {
-  const memsim::MemoryGeometry g{.address_bits = 8, .word_bits = 32,
-                                 .num_ports = 1};
-  backend::HostRamBackend ram{g};
-  backend::BackendMemory view{ram};
-  EXPECT_EQ(view.geometry(), g);
-  view.write(0, 7, 0xDEADBEEFull);
-  EXPECT_EQ(view.read(0, 7), 0xDEADBEEFull);
-  EXPECT_EQ(ram.read(0, 7), 0xDEADBEEFull);
-}
-
-// --- session parity (the byte-identity pin for the rewiring) ----------
-
-TEST(SessionParityTest, MemoryOverloadEqualsExplicitSimBackend) {
+TEST(HostRamBackendTest, RepairedMemoryRunsOverHostRam) {
+  // memsim machinery written against memsim::Memory runs on host RAM with
+  // no adapter: a spare-row switch-in view redirects a replaced row's
+  // accesses away from the mapped storage.
   const memsim::MemoryGeometry g{.address_bits = 8, .word_bits = 1,
                                  .num_ports = 1};
-  const auto alg = march::march_c();
+  backend::HostRamBackend ram{g};
+  const memsim::ArrayTopology topology{
+      g.address_bits, 4, memsim::AddressScrambler::identity(g.address_bits)};
+  repair::RepairSolution solution;
+  solution.repairable = true;
+  solution.rows_replaced = {2};
+  repair::RepairedMemory view{ram, topology, solution};
+  EXPECT_EQ(view.geometry(), g);
 
-  memsim::SramModel direct{g, 7};
-  mbist_hardwired::HardwiredController c1{
-      alg, mbist_hardwired::HardwiredConfig{.geometry = g}};
-  const auto via_memory = bist::run_session(c1, direct);
-
-  memsim::SramModel wrapped{g, 7};
-  backend::SimBackend sim{wrapped};
-  mbist_hardwired::HardwiredController c2{
-      alg, mbist_hardwired::HardwiredConfig{.geometry = g}};
-  const auto via_backend = bist::run_session(c2, sim);
-
-  EXPECT_EQ(via_memory, via_backend);
-  EXPECT_TRUE(via_backend.passed());
+  const memsim::Address outside = topology.at({.row = 0, .col = 3});
+  const memsim::Address replaced = topology.at({.row = 2, .col = 3});
+  view.write(0, outside, 1);
+  view.write(0, replaced, 1);
+  EXPECT_EQ(view.read(0, outside), 1u);
+  EXPECT_EQ(view.read(0, replaced), 1u);
+  EXPECT_EQ(ram.words()[outside], 1u);
+  EXPECT_EQ(ram.words()[replaced], 0u);  // served by the spare row
 }
+
+// --- session parity ---------------------------------------------------
 
 TEST(SessionParityTest, HostRamSessionMatchesSimOnFaultFreeMemory) {
   // A full march starts by writing every cell, so the undefined power-up
@@ -222,10 +188,9 @@ TEST(SessionParityTest, HostRamSessionMatchesSimOnFaultFreeMemory) {
   const auto alg = march::march_c();
 
   memsim::SramModel sram{g, 42};
-  backend::SimBackend sim{sram};
   mbist_hardwired::HardwiredController c1{
       alg, mbist_hardwired::HardwiredConfig{.geometry = g}};
-  const auto on_sim = bist::run_session(c1, sim);
+  const auto on_sim = bist::run_session(c1, sram);
 
   backend::HostRamBackend ram{g};
   mbist_hardwired::HardwiredController c2{
@@ -462,12 +427,15 @@ TEST(MemtestSweepTest, ReadsThatCannotMatchAreAllLogged) {
 
 TEST(MemtestTest, ReportIsByteIdenticalAcrossJobs) {
   const auto alg = march::march_c();
-  const auto reference = run_small(alg, BackendKind::HostRam, 1);
-  for (const int jobs : {2, 4, 8}) {
-    const auto report = run_small(alg, BackendKind::HostRam, jobs);
-    EXPECT_EQ(backend::format_memtest_report(report),
-              backend::format_memtest_report(reference))
-        << "jobs=" << jobs;
+  for (const auto kind : {BackendKind::HostRam, BackendKind::Sim}) {
+    SCOPED_TRACE(backend::to_string(kind));
+    const auto reference = run_small(alg, kind, 1);
+    for (const int jobs : {2, 4, 8}) {
+      const auto report = run_small(alg, kind, jobs);
+      EXPECT_EQ(backend::format_memtest_report(report),
+                backend::format_memtest_report(reference))
+          << "jobs=" << jobs;
+    }
   }
 }
 
@@ -553,7 +521,7 @@ TEST(MemtestTest, PauseElementsAccountTimeNotOps) {
   EXPECT_EQ(report.phases[1].reads + report.phases[1].writes, 0u);
 }
 
-// --- soc / field over the backend seam --------------------------------
+// --- soc / field on either backend ------------------------------------
 
 /// A small fault-free chip both backends must agree on.
 soc::SocDescription clean_chip() {

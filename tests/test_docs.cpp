@@ -626,17 +626,15 @@ TEST(DocExamples, KernelCheckExamplesAgreeAcrossKernels) {
 }
 
 TEST(DocExamples, BackendDocExists) {
-  // BACKEND.md documents the pluggable backend; pin the cross references
-  // so a rename breaks loudly.
+  // BACKEND.md documents the memory seam and its implementations; pin the
+  // cross references so a rename breaks loudly.
   const auto doc = read_file(std::string{PMBIST_SOURCE_DIR} +
                              "/docs/BACKEND.md");
-  EXPECT_NE(doc.find("MemoryBackend"), std::string::npos);
-  EXPECT_NE(doc.find("SimBackend"), std::string::npos);
-  EXPECT_NE(doc.find("HostRamBackend"), std::string::npos);
-  EXPECT_NE(doc.find("--backend sim|hostram"), std::string::npos);
-  EXPECT_NE(doc.find("pmbist memtest"), std::string::npos);
-  EXPECT_NE(doc.find("mapped_words"), std::string::npos);
-  EXPECT_NE(doc.find("BENCH_backend.json"), std::string::npos);
+  for (const char* name :
+       {"memsim::Memory", "SramModel", "FaultyMemory", "HostRamBackend",
+        "words()", "huge_pages()", "soc::make_instance_memory",
+        "--backend sim|hostram", "pmbist memtest", "BENCH_backend.json"})
+    EXPECT_NE(doc.find(name), std::string::npos) << name;
 }
 
 TEST(DocExamples, BackendDocHasExamples) {

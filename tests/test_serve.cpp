@@ -26,6 +26,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "backend/memtest.h"
@@ -751,44 +752,70 @@ TEST(ServeSessions, ConcurrentMixedKindsMatchSequentialResults) {
 // TCP transport smoke: ephemeral loopback port, one client, clean
 // shutdown with events delivered before the connection closes.
 
+/// A Server::serve_tcp loop on an ephemeral loopback port, run on its own
+/// thread until stop().
+class TcpServing {
+ public:
+  TcpServing() {
+    std::promise<int> port_promise;
+    auto port_future = port_promise.get_future();
+    thread_ = std::thread{[&] {
+      std::string error;
+      const int rc = server_.serve_tcp(
+          0, [&](int port) { port_promise.set_value(port); }, &error);
+      EXPECT_EQ(rc, 0) << error;
+    }};
+    port_ = port_future.get();
+  }
+  ~TcpServing() { stop(); }
+
+  /// Connects a client, sends `batch`, half-closes and returns everything
+  /// received up to EOF; the server closes the connection once it has
+  /// answered every request.
+  std::string exchange(const std::string& batch) const {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port_));
+    EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof addr),
+              0);
+    EXPECT_EQ(::send(fd, batch.data(), batch.size(), 0),
+              static_cast<ssize_t>(batch.size()));
+    // Half-close the write side; the server drains in-flight sessions and
+    // delivers every event before closing.
+    ::shutdown(fd, SHUT_WR);
+    std::string received;
+    char buf[4096];
+    ssize_t n;
+    while ((n = ::recv(fd, buf, sizeof buf, 0)) > 0)
+      received.append(buf, static_cast<std::size_t>(n));
+    ::close(fd);
+    return received;
+  }
+
+  void stop() {
+    if (!thread_.joinable()) return;
+    server_.shutdown();
+    thread_.join();
+  }
+
+  [[nodiscard]] int port() const { return port_; }
+
+ private:
+  serve::Server server_{{.sessions = 2}};
+  std::thread thread_;
+  int port_ = 0;
+};
+
 TEST(ServeTcp, LoopbackRoundTrip) {
-  serve::Server server{{.sessions = 2}};
-  std::promise<int> port_promise;
-  auto port_future = port_promise.get_future();
-  std::thread serving{[&] {
-    std::string error;
-    const int rc = server.serve_tcp(
-        0, [&](int port) { port_promise.set_value(port); }, &error);
-    EXPECT_EQ(rc, 0) << error;
-  }};
-  const int port = port_future.get();
-  ASSERT_GT(port, 0);
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof addr),
-            0);
-
-  const std::string batch =
+  TcpServing serving;
+  ASSERT_GT(serving.port(), 0);
+  const std::string received = serving.exchange(
       R"({"id":"l1","kind":"lint","input":"March C"})" "\n"
-      R"({"id":"s1","kind":"stats"})" "\n";
-  ASSERT_EQ(::send(fd, batch.data(), batch.size(), 0),
-            static_cast<ssize_t>(batch.size()));
-  // Half-close the write side; the server drains in-flight sessions and
-  // delivers every event before closing.
-  ::shutdown(fd, SHUT_WR);
-
-  std::string received;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof buf, 0)) > 0)
-    received.append(buf, static_cast<std::size_t>(n));
-  ::close(fd);
+      R"({"id":"s1","kind":"stats"})" "\n");
 
   std::vector<std::string> lines;
   std::istringstream in{received};
@@ -808,9 +835,32 @@ TEST(ServeTcp, LoopbackRoundTrip) {
   }
   EXPECT_TRUE(lint_result) << received;
   EXPECT_TRUE(stats_result) << received;
+}
 
-  server.shutdown();
-  serving.join();
+TEST(ServeTcp, ShutdownLeavesReusedDescriptorsAlone) {
+  // A finished connection's descriptor number is free for reuse: the
+  // socketpair below takes the lowest free numbers, the ones the client
+  // and the server's side of the connection just released.  Shutting the
+  // server down must not reach them through a stale record.
+  TcpServing serving;
+  ASSERT_GT(serving.port(), 0);
+  const std::string received =
+      serving.exchange(R"({"id":"s1","kind":"stats"})" "\n");
+  ASSERT_NE(received.find(R"("id":"s1")"), std::string::npos) << received;
+
+  int pair[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+  serving.stop();
+
+  for (const auto& [from, to] : {std::pair{pair[0], pair[1]},
+                                std::pair{pair[1], pair[0]}}) {
+    ASSERT_EQ(::send(from, "x", 1, MSG_NOSIGNAL), 1);
+    char c = 0;
+    EXPECT_EQ(::recv(to, &c, 1, 0), 1);
+    EXPECT_EQ(c, 'x');
+  }
+  ::close(pair[0]);
+  ::close(pair[1]);
 }
 
 }  // namespace
