@@ -31,7 +31,13 @@ echo "== tier 1: build + full test suite (-Werror) =="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DPMBIST_WERROR=ON \
   -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 cmake --build build -j "${JOBS}"
-ctest --test-dir build --output-on-failure -j "${JOBS}"
+# On failure, list the failed tests once more at the end of the output,
+# so a failure that does not repeat on a rerun is still named in the log.
+if ! ctest --test-dir build --output-on-failure -j "${JOBS}"; then
+  echo "== failed tests (build/Testing/Temporary/LastTestsFailed.log) ==" >&2
+  cat build/Testing/Temporary/LastTestsFailed.log >&2 || true
+  exit 1
+fi
 
 echo "== examples (end-to-end API walkthroughs) =="
 for ex in quickstart fault_diagnosis custom_algorithm multiport_word \

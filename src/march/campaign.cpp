@@ -5,7 +5,6 @@
 #include <bit>
 #include <list>
 #include <mutex>
-#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
@@ -47,64 +46,6 @@ DetectionRecord replay(std::span<const MemOp> stream, memsim::Memory& memory,
   return record;
 }
 
-// Address -> op-index table of one stream for the sparse projection
-// (docs/KERNEL.md), built once per run()/run_groups() call and shared
-// read-only by every worker.  Op indices are 32-bit.
-struct StreamIndex {
-  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
-
-  std::vector<std::uint32_t> begin;  // CSR: the ops at address a are
-  std::vector<std::uint32_t> ops;    //   ops[begin[a] .. begin[a + 1])
-  std::vector<std::uint32_t> pauses;
-  std::vector<std::uint32_t> last_read;  // latest read at or before op i
-  bool fault_free_miss = false;  // some read fails in a fault-free memory
-};
-
-StreamIndex build_index(std::span<const MemOp> stream,
-                        const MemoryGeometry& geometry, std::uint64_t seed) {
-  if (stream.size() >= StreamIndex::kNone)
-    throw std::length_error("op stream too long for the campaign index");
-  StreamIndex index;
-  index.begin.assign(geometry.num_words() + 1, 0);
-  index.last_read.resize(stream.size());
-  // The fault-free replay runs on a plain copy of the power-up contents:
-  // one pass over the stream is most of the index's cost.
-  std::vector<Word> fault_free(geometry.num_words());
-  {
-    const memsim::SramModel power_up{geometry, seed};
-    for (Address a = 0; a < fault_free.size(); ++a)
-      fault_free[a] = power_up.peek(a);
-  }
-  const Word mask = geometry.word_mask();
-  std::uint32_t last_read = StreamIndex::kNone;
-  for (std::uint32_t i = 0; i < stream.size(); ++i) {
-    const MemOp& op = stream[i];
-    switch (op.kind) {
-      case MemOp::Kind::Pause:
-        index.pauses.push_back(i);
-        break;
-      case MemOp::Kind::Write:
-        ++index.begin[op.addr + 1];
-        fault_free[op.addr] = op.data & mask;
-        break;
-      case MemOp::Kind::Read:
-        ++index.begin[op.addr + 1];
-        last_read = i;
-        index.fault_free_miss |= fault_free[op.addr] != op.data;
-        break;
-    }
-    index.last_read[i] = last_read;
-  }
-  std::partial_sum(index.begin.begin(), index.begin.end(),
-                   index.begin.begin());
-  index.ops.resize(index.begin.back());
-  std::vector<std::uint32_t> fill(index.begin.begin(), index.begin.end() - 1);
-  for (std::uint32_t i = 0; i < stream.size(); ++i)
-    if (stream[i].kind != MemOp::Kind::Pause)
-      index.ops[fill[stream[i].addr]++] = i;
-  return index;
-}
-
 // Appends the addresses whose ops can sensitize or observe `fault`: the
 // cell of a single-cell fault, aggressor and victim of a coupling fault,
 // the logical address and every physical target of a decoder fault.
@@ -132,104 +73,166 @@ bool append_involved(const memsim::Fault& fault,
       fault);
 }
 
-// Per-worker scratch of the sparse projection.
-class Projection {
- public:
-  Projection(std::size_t words, std::size_t ops)
-      : involved_(words, 0), kept_((ops + 63) / 64, 0), ops_{ops} {}
+// A lane-pack's share of the stream (docs/KERNEL.md, "Sparse projection"):
+// every op, or the kept ops in stream order, each with the latest read
+// before it (kNone if none).  Op indices are 32-bit.
+constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
-  // Marks the ops a lane-pack replays: every op at an address one of its
-  // faults involves, and every pause.  Dense fallback, every op kept: a
-  // pack holding a PF or NPSF fault, and every pack of a stream with a
-  // read that fails in a fault-free memory (a skipped op must not fail).
-  template <typename FaultsOf>
-  void project(const StreamIndex& index, const FaultsOf& faults_of, int base,
-               int lanes) {
-    std::fill(kept_.begin(), kept_.end(), 0);
-    addresses_.clear();
-    bool dense = index.fault_free_miss;
-    for (int l = 0; l < lanes && !dense; ++l)
-      for (const memsim::Fault& fault : faults_of(base + l))
-        dense = dense || !append_involved(fault, addresses_);
-    if (dense) {
-      std::fill(kept_.begin(), kept_.end(), ~std::uint64_t{0});
-      if (ops_ % 64 != 0) kept_.back() = (std::uint64_t{1} << (ops_ % 64)) - 1;
-      return;
-    }
-    for (const Address a : addresses_) {
-      if (involved_[a] != 0) continue;
-      involved_[a] = 1;
-      for (std::uint32_t k = index.begin[a]; k < index.begin[a + 1]; ++k)
-        keep(index.ops[k]);
-    }
-    for (const std::uint32_t i : index.pauses) keep(i);
-    for (const Address a : addresses_) involved_[a] = 0;
-  }
-
-  [[nodiscard]] std::span<const std::uint64_t> kept() const { return kept_; }
-
- private:
-  void keep(std::size_t i) { kept_[i / 64] |= std::uint64_t{1} << (i % 64); }
-
-  std::vector<std::uint8_t> involved_;  // per address, clear between packs
-  std::vector<Address> addresses_;
-  std::vector<std::uint64_t> kept_;  // bitmap over op indices
-  std::size_t ops_;
+struct KeptOp {
+  std::uint32_t op;
+  std::uint32_t prev_read;
 };
 
-// Replays the kept ops of the stream against one lane-packed memory
-// holding `lanes` live fault instances (base..base+lanes-1), filling the
-// records of all of them in one pass.  Kept ops keep their stream index,
-// so first_failure_op is the scalar one.  A lane that has detected stops
-// being compared (its remaining mismatches are masked off), which matches
-// the scalar replay's early return: lanes are independent, so dropping a
-// detected lane's later results cannot affect any other lane.  The whole
-// pack early-exits once every lane has detected.
-void replay_pack(std::span<const MemOp> stream, const StreamIndex& index,
-                 std::span<const std::uint64_t> kept,
+struct PackOps {
+  bool dense = false;
+  std::vector<KeptOp> kept;
+};
+
+// Projects the stream onto every lane-pack of one run()/run_groups() call
+// in one serial pass.  A sparse pack keeps every pause and every op at an
+// address its faults involve.  Dense: a pack with a PF or NPSF fault or
+// an address outside the memory (add_fault() rejects it), and every pack
+// if a read fails in a fault-free memory (a skipped op must not fail).
+template <typename FaultsOf>
+std::vector<PackOps> project(std::span<const MemOp> stream,
+                             const MemoryGeometry& geometry,
+                             std::uint64_t seed, int count,
+                             const FaultsOf& faults_of) {
+  constexpr int kLanes = memsim::PackedFaultyMemory::kLanes;
+  if (stream.size() >= kNone)
+    throw std::length_error("op stream too long for the campaign projection");
+  const auto discard = static_cast<std::uint32_t>(count + kLanes - 1) / kLanes;
+  std::vector<PackOps> packs(discard);
+  // Lists fill through cursors, sized as if ops spread evenly over the
+  // addresses and doubled when full.  Ops no pack keeps go to sink
+  // `discard`, whose cursor never advances: the common cases take no branch.
+  struct Sink {
+    KeptOp* at = nullptr;
+    KeptOp* end = nullptr;
+  };
+  KeptOp discarded{};
+  std::vector<Sink> sinks(packs.size() + 1, Sink{&discarded, nullptr});
+  const auto resize = [&](std::uint32_t p, std::size_t used, std::size_t n) {
+    packs[p].kept.resize(n);
+    sinks[p] = {packs[p].kept.data() + used, packs[p].kept.data() + n};
+  };
+  const auto push = [&](std::uint32_t s, KeptOp op) {
+    *sinks[s].at = op;
+    sinks[s].at += s != discard ? 1 : 0;
+    if (sinks[s].at == sinks[s].end)
+      resize(s, packs[s].kept.size(), 2 * packs[s].kept.size());
+  };
+
+  // Address -> its sink: `discard`, the one sparse pack involving it, or
+  // `shared` when several do.  head[a] chains them all through `links`.
+  const std::uint32_t shared = discard + 1;
+  struct Link {
+    std::uint32_t pack;
+    std::uint32_t next;
+  };
+  const std::size_t words = geometry.num_words();
+  std::vector<std::uint32_t> sink_of(words, discard);
+  std::vector<std::uint32_t> head(words, kNone);
+  std::vector<Link> links;
+  std::vector<std::uint32_t> sparse;
+  std::vector<Address> addresses;
+  const auto outside = [&](Address a) { return a >= words; };
+  for (std::uint32_t p = 0; p < discard; ++p) {
+    addresses.clear();
+    const int base = static_cast<int>(p) * kLanes;
+    for (int i = base; i < std::min(count, base + kLanes); ++i)
+      for (const memsim::Fault& fault : faults_of(i))
+        packs[p].dense = packs[p].dense || !append_involved(fault, addresses);
+    if (packs[p].dense || std::ranges::any_of(addresses, outside)) {
+      packs[p].dense = true;
+      continue;
+    }
+    sparse.push_back(p);
+    for (const Address a : addresses) {
+      if (head[a] != kNone && links[head[a]].pack == p) continue;
+      sink_of[a] = head[a] == kNone ? p : shared;
+      links.push_back({p, head[a]});
+      head[a] = static_cast<std::uint32_t>(links.size() - 1);
+    }
+    resize(p, 0, addresses.size() * (stream.size() / words + 1) + 16);
+  }
+
+  // The fault-free replay runs on a plain copy of the power-up contents.
+  const memsim::SramModel power_up{geometry, seed};
+  std::vector<Word> fault_free(words);
+  for (Address a = 0; a < words; ++a) fault_free[a] = power_up.peek(a);
+  bool fault_free_miss = false;
+  std::uint32_t last_read = kNone;
+  for (std::uint32_t i = 0; i < stream.size(); ++i) {
+    const MemOp& op = stream[i];
+    if (op.kind == MemOp::Kind::Pause) {
+      for (const std::uint32_t p : sparse) push(p, {i, last_read});
+      continue;
+    }
+    if (const std::uint32_t s = sink_of[op.addr]; s != shared)
+      push(s, {i, last_read});
+    else
+      for (std::uint32_t k = head[op.addr]; k != kNone; k = links[k].next)
+        push(links[k].pack, {i, last_read});
+    if (op.kind == MemOp::Kind::Write) {
+      fault_free[op.addr] = op.data & geometry.word_mask();
+    } else {
+      fault_free_miss |= fault_free[op.addr] != op.data;
+      last_read = i;
+    }
+  }
+  for (const std::uint32_t p : sparse)
+    packs[p].kept.resize(
+        static_cast<std::size_t>(sinks[p].at - packs[p].kept.data()));
+  if (fault_free_miss)
+    for (PackOps& pack : packs) pack = PackOps{.dense = true, .kept = {}};
+  return packs;
+}
+
+// Replays a pack's ops against one lane-packed memory holding `lanes` live
+// fault instances (base..base+lanes-1), filling all their records in one
+// pass.  Kept ops keep their stream index, so first_failure_op is the
+// scalar one.  A lane that has detected is no longer compared, as the
+// scalar replay returns early (lanes are independent), and the pack stops
+// once every lane has detected.  A dense pack's j-th op is op j: no skips.
+void replay_pack(std::span<const MemOp> stream, const PackOps& pack,
                  memsim::PackedFaultyMemory& memory, std::uint32_t base,
                  int lanes, std::span<DetectionRecord> records) {
-  for (int l = 0; l < lanes; ++l) {
-    records[static_cast<std::size_t>(l)] = DetectionRecord{};
-    records[static_cast<std::size_t>(l)].fault_index =
-        base + static_cast<std::uint32_t>(l);
-  }
+  for (int l = 0; l < lanes; ++l)
+    records[static_cast<std::size_t>(l)] = {
+        .fault_index = base + static_cast<std::uint32_t>(l)};
   std::uint64_t undetected =
       lanes >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
-  const auto detect = [&](std::uint64_t hits, std::size_t i) {
-    hits &= undetected;
-    undetected &= ~hits;
-    for (; hits != 0; hits &= hits - 1) {
-      auto& record = records[static_cast<std::size_t>(std::countr_zero(hits))];
-      record.detected = true;
-      record.first_failure_op = i;
+  const std::size_t ops = pack.dense ? stream.size() : pack.kept.size();
+  std::uint32_t next = 0;  // the op after the previously replayed one
+  for (std::size_t j = 0; j < ops && undetected != 0; ++j) {
+    const auto i = pack.dense ? static_cast<std::uint32_t>(j) : pack.kept[j].op;
+    if (i > next) {
+      const std::uint32_t r = pack.kept[j].prev_read;
+      memory.skip_fault_free(r != kNone && r >= next
+                                 ? std::optional<Word>{stream[r].data}
+                                 : std::nullopt);
     }
-  };
-  std::size_t next = 0;  // the op after the previously replayed one
-  for (std::size_t w = 0; w < kept.size() && undetected != 0; ++w) {
-    for (std::uint64_t bits = kept[w]; bits != 0 && undetected != 0;
-         bits &= bits - 1) {
-      const std::size_t i =
-          w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-      if (i > next) {
-        const std::uint32_t r = index.last_read[i - 1];
-        memory.skip_fault_free(r != StreamIndex::kNone && r >= next
-                                   ? std::optional<Word>{stream[r].data}
-                                   : std::nullopt);
-      }
-      next = i + 1;
-      const MemOp& op = stream[i];
-      switch (op.kind) {
-        case MemOp::Kind::Pause:
-          memory.advance_time_ns(op.pause_ns);
-          break;
-        case MemOp::Kind::Write:
-          memory.write(op.port, op.addr, op.data);
-          break;
-        case MemOp::Kind::Read:
-          detect(memory.read(op.port, op.addr, op.data), i);
-          break;
-      }
+    next = i + 1;
+    const MemOp& op = stream[i];
+    switch (op.kind) {
+      case MemOp::Kind::Pause:
+        memory.advance_time_ns(op.pause_ns);
+        break;
+      case MemOp::Kind::Write:
+        memory.write(op.port, op.addr, op.data);
+        break;
+      case MemOp::Kind::Read:
+        std::uint64_t hits =
+            memory.read(op.port, op.addr, op.data) & undetected;
+        undetected &= ~hits;
+        for (; hits != 0; hits &= hits - 1) {
+          auto& record =
+              records[static_cast<std::size_t>(std::countr_zero(hits))];
+          record.detected = true;
+          record.first_failure_op = i;
+        }
+        break;
     }
   }
 }
@@ -281,12 +284,12 @@ CampaignResult run_packed(const CampaignConfig& config,
   constexpr int kLanes = memsim::PackedFaultyMemory::kLanes;
   const int packs = (count + kLanes - 1) / kLanes;
   const int jobs = std::min(common::resolve_jobs(config.jobs), packs);
-  const StreamIndex index = build_index(stream, geometry, config.powerup_seed);
+  const std::vector<PackOps> projection =
+      project(stream, geometry, config.powerup_seed, count, faults_of);
 
   std::atomic<int> next{0};
   common::parallel_shards(jobs, jobs, [&](int) {
     memsim::PackedFaultyMemory memory{geometry, config.powerup_seed};
-    Projection projection{geometry.num_words(), stream.size()};
     bool fresh = true;
     for (int p; (p = next.fetch_add(1)) < packs;) {
       common::throw_if_cancelled(config.cancel);
@@ -297,8 +300,7 @@ CampaignResult run_packed(const CampaignConfig& config,
       for (int l = 0; l < lanes; ++l)
         for (const memsim::Fault& fault : faults_of(base + l))
           memory.add_fault(l, fault);
-      projection.project(index, faults_of, base, lanes);
-      replay_pack(stream, index, projection.kept(), memory,
+      replay_pack(stream, projection[static_cast<std::size_t>(p)], memory,
                   static_cast<std::uint32_t>(base), lanes,
                   std::span<DetectionRecord>{result.records}.subspan(
                       static_cast<std::size_t>(base),
@@ -315,9 +317,7 @@ CampaignResult run_universe(const CampaignConfig& config,
                             std::span<const MemOp> stream,
                             const MemoryGeometry& geometry, int count,
                             const FaultsOf& faults_of) {
-  if (count == 0) {
-    return CampaignResult{};
-  }
+  if (count == 0) return CampaignResult{};
   if (resolve_kernel(config.kernel) == CampaignKernel::Scalar)
     return run_scalar(config, stream, geometry, count, faults_of);
   return run_packed(config, stream, geometry, count, faults_of);

@@ -16,10 +16,11 @@
 //     the scalar one-memory-per-fault path is kept as the pinned
 //     reference (CampaignConfig::kernel / the --kernel flag);
 //   * a lane-pack replays only the ops at the addresses its faults
-//     involve, plus every pause, through an address -> op-index table
-//     built once per call; packs holding a port or NPSF fault, and all
-//     packs of a stream with a read that fails in a fault-free memory,
-//     replay every op (docs/KERNEL.md, "Sparse projection");
+//     involve, plus every pause: one serial pass per call gathers every
+//     pack's kept ops, each with the latest read before it; packs holding
+//     a port or NPSF fault, and all packs of a stream with a read that
+//     fails in a fault-free memory, replay every op (docs/KERNEL.md,
+//     "Sparse projection");
 //   * the fault universe is sharded dynamically across workers — by
 //     lane-pack for the packed kernel, by instance for the scalar one;
 //     each worker owns one thread-local memory that is cheaply reset()

@@ -1,6 +1,7 @@
 #include "memsim/packed_memory.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -71,9 +72,7 @@ void PackedFaultyMemory::reset(std::uint64_t powerup_seed) {
   std::fill(sense_residue_.begin(), sense_residue_.end(), 0);
   now_ns_ = 0;
   ops_begun_ = false;
-  last_read_valid_ = false;
-  divergent_lanes_ = 0;
-  divergent_last_read_.clear();
+  invalidate_last_read();
 }
 
 void PackedFaultyMemory::mark_written(Address addr) {
@@ -173,11 +172,6 @@ void PackedFaultyMemory::add_fault(int lane, const Fault& fault) {
             }
           if (!replaced) entries.push_back({lane_bit, f.physical});
           addr_flags_[f.logical] |= kHasAf;
-          if (f.physical.empty() && (divergent_lanes_ & lane_bit) == 0) {
-            divergent_lanes_ |= lane_bit;
-            divergent_last_read_.push_back(
-                {lane, last_read_valid_, last_read_addr_});
-          }
         } else if constexpr (std::is_same_v<T, StuckOpenFault>) {
           check_bitref(f.cell);
           ensure_state(f.cell.addr, f.cell.bit).stuck_open |= lane_bit;
@@ -412,18 +406,9 @@ void PackedFaultyMemory::read_cell(Address addr, std::uint64_t mask,
   }
 }
 
-bool PackedFaultyMemory::lane_maps_empty(std::uint64_t lane,
-                                         Address logical) const {
-  const auto it = af_.find(logical);
-  if (it == af_.end()) return false;
-  for (const auto& e : it->second)
-    if (e.lane == lane) return e.physical.empty();
-  return false;
-}
-
 void PackedFaultyMemory::invalidate_last_read() {
-  last_read_valid_ = false;
-  for (auto& e : divergent_last_read_) e.valid = false;
+  last_read_.valid = false;
+  lagging_ = 0;
 }
 
 std::uint64_t PackedFaultyMemory::read(int port, Address addr, Word expected) {
@@ -438,9 +423,11 @@ std::uint64_t PackedFaultyMemory::read(int port, Address addr, Word expected) {
   // Weak-cell (DRDF) excitation: lanes whose immediately preceding
   // operation was a read of this same address.
   std::uint64_t b2b = 0;
-  if (last_read_valid_ && last_read_addr_ == addr) b2b = ~divergent_lanes_;
-  for (const auto& e : divergent_last_read_)
-    if (e.valid && e.addr == addr) b2b |= std::uint64_t{1} << e.lane;
+  if (last_read_.valid && last_read_.addr == addr) b2b = ~lagging_;
+  for (std::uint64_t m = lagging_; m != 0; m &= m - 1) {
+    const LastRead& e = lagging_last_read_[std::countr_zero(m)];
+    if (e.valid && e.addr == addr) b2b |= m & -m;
+  }
 
   const int width = geometry_.word_bits;
   std::uint64_t mismatch = 0;
@@ -468,9 +455,11 @@ std::uint64_t PackedFaultyMemory::read(int port, Address addr, Word expected) {
 
   // AF lanes walk their physical cell set: empty set reads the precharged
   // bitlines (constant 0, no side effects); multiple cells wired-AND.
+  std::uint64_t reads_nowhere = 0;
   if (af_entries != nullptr) {
     for (const auto& e : *af_entries) {
       if (e.physical.empty()) {
+        reads_nowhere |= e.lane;
         if (expected != 0) mismatch |= e.lane;
         continue;
       }
@@ -497,15 +486,10 @@ std::uint64_t PackedFaultyMemory::read(int port, Address addr, Word expected) {
 
   // Completed reads remember their address; a lane whose decoder selected
   // no cell keeps its previous state (the scalar early return).
-  last_read_valid_ = true;
-  last_read_addr_ = addr;
-  for (auto& e : divergent_last_read_) {
-    if (af_entries == nullptr ||
-        !lane_maps_empty(std::uint64_t{1} << e.lane, addr)) {
-      e.valid = true;
-      e.addr = addr;
-    }
-  }
+  for (std::uint64_t m = reads_nowhere & ~lagging_; m != 0; m &= m - 1)
+    lagging_last_read_[std::countr_zero(m)] = last_read_;
+  lagging_ = reads_nowhere;
+  last_read_ = {.valid = true, .addr = addr};
   return too_wide ? ~std::uint64_t{0} : mismatch;
 }
 

@@ -36,6 +36,7 @@
 // docs/KERNEL.md documents the lane encoding, the per-class automata and
 // the scalar-fallback contract.
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
@@ -150,11 +151,9 @@ class PackedFaultyMemory {
     std::uint64_t lane = 0;
     NeighborhoodPatternFault fault;
   };
-  // Per-lane last-read address, kept only for lanes owning an AF that can
-  // remap to the empty set: such a lane's read may complete nowhere,
-  // leaving its weak-cell (DRDF) tracking behind the other lanes'.
-  struct DivergentLastRead {
-    int lane = 0;
+  // The address of a lane's latest completed read, if nothing has let its
+  // weak cells recover since (weak-cell / DRDF tracking).
+  struct LastRead {
     bool valid = false;
     Address addr = 0;
   };
@@ -190,9 +189,6 @@ class PackedFaultyMemory {
   /// side effects); `sensed_[bit]` holds the lane vector afterwards.
   void read_cell(Address addr, std::uint64_t mask, std::uint64_t b2b);
 
-  /// True when `lane`'s decoder maps `logical` to the empty cell set.
-  [[nodiscard]] bool lane_maps_empty(std::uint64_t lane,
-                                     Address logical) const;
   void invalidate_last_read();
   void mark_written(Address addr);
 
@@ -217,12 +213,12 @@ class PackedFaultyMemory {
   std::uint64_t now_ns_ = 0;
   bool ops_begun_ = false;
 
-  // Uniform last-read tracking for non-divergent lanes plus per-lane
-  // overrides for divergent ones (see DivergentLastRead).
-  bool last_read_valid_ = false;
-  Address last_read_addr_ = 0;
-  std::uint64_t divergent_lanes_ = 0;
-  std::vector<DivergentLastRead> divergent_last_read_;
+  // One last read for every lane but the lagging ones: a lane whose
+  // latest read went through an AF to the empty set completed no read, so
+  // it keeps, in lagging_last_read_, the state it had before that read.
+  LastRead last_read_;
+  std::uint64_t lagging_ = 0;
+  std::array<LastRead, kLanes> lagging_last_read_{};
 
   // Per-bit scratch, sized word_bits (avoids per-op allocation).
   std::vector<std::uint64_t> rising_;

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <map>
 #include <ostream>
 #include <stdexcept>
 #include <thread>
@@ -95,7 +96,12 @@ struct Server::TcpState {
   std::atomic<int> listen_fd{-1};
   std::mutex mu;
   std::vector<int> client_fds;
-  std::vector<std::thread> readers;
+  // Reader threads by connection number; a reader lists its number in
+  // `finished` as it leaves, and the next accept joins it, so a closed
+  // connection does not hold its thread's stack until shutdown.
+  std::map<std::uint64_t, std::thread> readers;
+  std::vector<std::uint64_t> finished;
+  std::uint64_t connections = 0;
 };
 
 Server::Server(ServerOptions options)
@@ -466,8 +472,15 @@ int Server::serve_tcp(int port, const std::function<void(int)>& ready,
       continue;
     }
     std::lock_guard lock{tcp_->mu};
+    // A reader takes no lock after listing itself, so this join is short.
+    for (const std::uint64_t done : tcp_->finished) {
+      tcp_->readers[done].join();
+      tcp_->readers.erase(done);
+    }
+    tcp_->finished.clear();
     tcp_->client_fds.push_back(cfd);
-    tcp_->readers.emplace_back([this, cfd] {
+    const std::uint64_t conn = tcp_->connections++;
+    tcp_->readers[conn] = std::thread([this, cfd, conn] {
       Sink sink = [cfd](const std::string& line) { send_all(cfd, line); };
       std::vector<std::string> posted;  ///< session ids of this connection
       std::string pending;
@@ -498,6 +511,7 @@ int Server::serve_tcp(int port, const std::function<void(int)>& ready,
       {
         std::lock_guard forget{tcp_->mu};
         std::erase(tcp_->client_fds, cfd);
+        tcp_->finished.push_back(conn);
       }
       ::close(cfd);
     });
@@ -507,10 +521,11 @@ int Server::serve_tcp(int port, const std::function<void(int)>& ready,
     std::lock_guard lock{tcp_->mu};
     for (const int cfd : tcp_->client_fds) ::shutdown(cfd, SHUT_RD);
   }
-  for (auto& reader : tcp_->readers) reader.join();
+  for (auto& [conn, reader] : tcp_->readers) reader.join();
   {
     std::lock_guard lock{tcp_->mu};
     tcp_->readers.clear();
+    tcp_->finished.clear();
     tcp_->client_fds.clear();
   }
   tcp_->listen_fd.store(-1);

@@ -805,6 +805,100 @@ TEST(Projection, ResetRestoresCellsThePreviousPackChanged) {
   }
 }
 
+TEST(Projection, AddressSharedByTwoPacksDetectsInBoth) {
+  // Address 5 is involved by lane 0 of both packs, so its ops go to two
+  // lists; both lanes detect at the same op.  The other lanes sit at 9
+  // (pack 0) and 20 (pack 1), which only one pack involves.
+  auto stream = zero_fill(kSparse);
+  const std::size_t n = stream.size();
+  stream.push_back(march::MemOp::write(0, 5, 1));
+  stream.push_back(march::MemOp::read(0, 5, 1));   // SAF0 at 5 detects
+  stream.push_back(march::MemOp::read(0, 9, 0));   // SAF1 at 9 detects
+  stream.push_back(march::MemOp::write(0, 20, 1));  // TF at 20 blocks
+  stream.push_back(march::MemOp::read(0, 20, 1));
+  std::vector<march::FaultGroup> groups{{memsim::StuckAtFault{{5, 0}, false}}};
+  groups.resize(64, {memsim::StuckAtFault{{9, 0}, true}});
+  groups.push_back({memsim::StuckAtFault{{5, 0}, false}});
+  groups.push_back({memsim::TransitionFault{{20, 0}, true}});
+  expect_kernels_agree(stream, kSparse, groups, {1, 4});
+  const auto packed =
+      CampaignRunner{{.jobs = 4}}.run_groups(stream, kSparse, groups);
+  EXPECT_EQ(packed.records[0].first_failure_op, n + 1);
+  EXPECT_EQ(packed.records[64].first_failure_op, n + 1);
+  EXPECT_EQ(packed.records[1].first_failure_op, n + 2);
+  EXPECT_EQ(packed.records[65].first_failure_op, n + 4);
+}
+
+TEST(Projection, PackWhoseAddressesTheStreamNeverTouches) {
+  // The stream reaches addresses 0..31 only and the pack's faults sit at
+  // 40..60, so the pack keeps nothing but the pauses; nothing is detected.
+  march::OpStream stream{march::MemOp::pause(500)};
+  for (memsim::Address a = 0; a < 32; ++a)
+    stream.push_back(march::MemOp::write(0, a, 1));
+  stream.push_back(march::MemOp::pause(5'000));
+  for (memsim::Address a = 0; a < 32; ++a)
+    stream.push_back(march::MemOp::read(0, a, 1));
+  const std::vector<march::FaultGroup> groups{
+      {memsim::StuckAtFault{{40, 0}, true}},
+      {memsim::DataRetentionFault{{41, 0}, false, 1'000}},
+      {memsim::StuckOpenFault{{42, 0}}},
+      {memsim::IdempotentCouplingFault{{50, 0}, {60, 0}, true, true}},
+      {memsim::AddressDecoderFault{45, {}}}};
+  expect_kernels_agree(stream, kSparse, groups, {1, 4});
+  const auto packed =
+      CampaignRunner{{.jobs = 1}}.run_groups(stream, kSparse, groups);
+  for (const auto& record : packed.records) {
+    EXPECT_FALSE(record.detected);
+    EXPECT_EQ(record.first_failure_op,
+              march::DetectionRecord::kNoFailure);
+  }
+}
+
+TEST(Projection, PausesAtBothEndsAndASkippedRunBeforeAnyRead) {
+  // The first kept op after the opening pause follows a skipped run with
+  // no read in it, so the sense residue is still the initial 0: the open
+  // cell at 5 senses 0 where 1 was written.  The open cell at 6 senses the
+  // 1 of the skipped read of 30.  The stream ends on a pause.
+  march::OpStream stream{march::MemOp::pause(100)};
+  for (memsim::Address a = 30; a < 40; ++a)
+    stream.push_back(march::MemOp::write(0, a, 1));  // skipped, no read
+  stream.push_back(march::MemOp::write(0, 5, 1));
+  stream.push_back(march::MemOp::write(0, 6, 1));
+  stream.push_back(march::MemOp::pause(2'000));
+  stream.push_back(march::MemOp::read(0, 5, 1));
+  stream.push_back(march::MemOp::read(0, 30, 1));  // skipped read
+  stream.push_back(march::MemOp::read(0, 6, 1));
+  stream.push_back(march::MemOp::pause(100));
+  const std::vector<march::FaultGroup> groups{
+      {memsim::StuckOpenFault{{5, 0}}},
+      {memsim::DataRetentionFault{{6, 0}, false, 1'000}},
+      {memsim::StuckOpenFault{{6, 0}}},
+      {memsim::StuckAtFault{{7, 0}, true}}};
+  for (const std::uint64_t seed : {1u, 2u})
+    expect_kernels_agree(stream, kSparse, groups, {1, 4}, seed);
+  const auto packed =
+      CampaignRunner{{.jobs = 1}}.run_groups(stream, kSparse, groups);
+  EXPECT_EQ(packed.records[0].first_failure_op, 14u);
+  EXPECT_EQ(packed.records[1].first_failure_op, 16u);  // decayed over 2 us
+  EXPECT_FALSE(packed.records[2].detected);
+  EXPECT_FALSE(packed.records[3].detected);
+}
+
+TEST(Projection, LinkedCouplingGroupsAtBenchmarkScale) {
+  // run_groups at the benchmark's 4096 words: each group is a linked CFid
+  // pair, so a lane involves up to three addresses and packs share some.
+  const memsim::MemoryGeometry geom{.address_bits = 12, .word_bits = 1,
+                                    .num_ports = 1};
+  std::vector<march::FaultGroup> groups;
+  for (const auto& [a, b] : march::make_linked_cfid_universe(geom, 5, 200))
+    groups.push_back({a, b});
+  for (const char* name : {"March C", "March LR"}) {
+    SCOPED_TRACE(name);
+    expect_kernels_agree(march::expand(march::by_name(name), geom), geom,
+                         groups, {1, 4});
+  }
+}
+
 TEST(Projection, PortAndNeighborhoodPacksTakeTheDenseReplay) {
   // A port fault misreads at every address and an NPSF neighbour pattern
   // can form anywhere, so their packs replay every op.  The companions

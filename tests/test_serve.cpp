@@ -837,6 +837,37 @@ TEST(ServeTcp, LoopbackRoundTrip) {
   EXPECT_TRUE(stats_result) << received;
 }
 
+// A numeric field of /proc/self/status ("Threads", "VmSize" in kB).
+long status_field(const std::string& name) {
+  std::ifstream in{"/proc/self/status"};
+  for (std::string line; std::getline(in, line);)
+    if (line.rfind(name + ":", 0) == 0)
+      return std::stol(line.substr(name.size() + 1));
+  return -1;
+}
+
+TEST(ServeTcp, ClosedConnectionsReleaseTheirReaders) {
+  // Every connection gets a reader thread.  The server must join a reader
+  // once its client is gone, not at shutdown: each unjoined thread keeps
+  // its stack mapped (several MiB of address space per connection).  The
+  // baseline is taken after a few cycles, once the allocator's per-thread
+  // arenas exist.
+  TcpServing serving;
+  ASSERT_GT(serving.port(), 0);
+  long threads = 0;
+  long vm_kb = 0;
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    ASSERT_EQ(serving.exchange(""), "");  // connect, half-close, drain
+    if (cycle == 9) {
+      threads = status_field("Threads");
+      vm_kb = status_field("VmSize");
+    }
+  }
+  ASSERT_GT(threads, 0);
+  EXPECT_LE(status_field("Threads"), threads + 2);
+  EXPECT_LE(status_field("VmSize"), vm_kb + 128 * 1024);
+}
+
 TEST(ServeTcp, ShutdownLeavesReusedDescriptorsAlone) {
   // A finished connection's descriptor number is free for reuse: the
   // socketpair below takes the lowest free numbers, the ones the client
