@@ -1,6 +1,7 @@
 #include "memsim/faulty_memory.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <stdexcept>
 
@@ -23,7 +24,7 @@ FaultyMemory::FaultyMemory(MemoryGeometry geometry, std::uint64_t powerup_seed)
   std::uint64_t s = powerup_seed;
   for (auto& w : cells_) w = splitmix64(s) & geometry.word_mask();
   last_write_ns_.assign(geometry.num_words(), 0);
-  sense_residue_.assign(static_cast<std::size_t>(geometry.word_bits), false);
+  per_bit_.assign(geometry.num_words(), 0);
 }
 
 FaultyMemory::FaultyMemory(MemoryGeometry geometry,
@@ -32,7 +33,7 @@ FaultyMemory::FaultyMemory(MemoryGeometry geometry,
   assert(cells_.size() == geometry.num_words());
   for (auto& w : cells_) w &= geometry.word_mask();
   last_write_ns_.assign(geometry.num_words(), 0);
-  sense_residue_.assign(static_cast<std::size_t>(geometry.word_bits), false);
+  per_bit_.assign(geometry.num_words(), 0);
 }
 
 void FaultyMemory::reset(std::uint64_t powerup_seed) {
@@ -48,7 +49,8 @@ void FaultyMemory::reset(std::uint64_t powerup_seed) {
   now_ns_ = 0;
   last_read_addr_.reset();
   std::fill(last_write_ns_.begin(), last_write_ns_.end(), 0);
-  std::fill(sense_residue_.begin(), sense_residue_.end(), false);
+  std::fill(per_bit_.begin(), per_bit_.end(), 0);
+  sense_residue_ = 0;
   std::uint64_t s = powerup_seed;
   for (auto& w : cells_) w = splitmix64(s) & geometry().word_mask();
 }
@@ -60,39 +62,39 @@ void FaultyMemory::add_fault(const Fault& fault) {
       throw std::invalid_argument("fault references cell outside geometry: " +
                                   describe(fault));
   };
+  // Every cell a fault names is marked, once validated, through one of
+  // these: its word leaves the word path.
+  auto mark_word = [&](const BitRef& b) { per_bit_[b.addr] = 1; };
+  auto cell_state = [&](const BitRef& b) -> CellState& {
+    check_bitref(b);
+    mark_word(b);
+    return cell_state_[key(b.addr, b.bit)];
+  };
+  auto coupling = [&](const BitRef& aggressor, const BitRef& victim) {
+    check_bitref(aggressor);
+    check_bitref(victim);
+    if (aggressor == victim)
+      throw std::invalid_argument("coupling aggressor == victim");
+    mark_word(aggressor);
+    mark_word(victim);
+    return key(aggressor.addr, aggressor.bit);
+  };
 
   std::visit(
       [&](const auto& f) {
         using T = std::decay_t<decltype(f)>;
         if constexpr (std::is_same_v<T, StuckAtFault>) {
-          check_bitref(f.cell);
-          cell_state_[key(f.cell.addr, f.cell.bit)].stuck_value = f.value;
+          cell_state(f.cell).stuck_value = f.value;
           set_stored_bit(f.cell.addr, f.cell.bit, f.value);
         } else if constexpr (std::is_same_v<T, TransitionFault>) {
-          check_bitref(f.cell);
-          auto& cs = cell_state_[key(f.cell.addr, f.cell.bit)];
+          auto& cs = cell_state(f.cell);
           (f.rising ? cs.tf_rising_blocked : cs.tf_falling_blocked) = true;
         } else if constexpr (std::is_same_v<T, InversionCouplingFault>) {
-          check_bitref(f.aggressor);
-          check_bitref(f.victim);
-          if (f.aggressor == f.victim)
-            throw std::invalid_argument("coupling aggressor == victim");
-          cfin_by_aggressor_[key(f.aggressor.addr, f.aggressor.bit)]
-              .push_back(f);
+          cfin_by_aggressor_[coupling(f.aggressor, f.victim)].push_back(f);
         } else if constexpr (std::is_same_v<T, IdempotentCouplingFault>) {
-          check_bitref(f.aggressor);
-          check_bitref(f.victim);
-          if (f.aggressor == f.victim)
-            throw std::invalid_argument("coupling aggressor == victim");
-          cfid_by_aggressor_[key(f.aggressor.addr, f.aggressor.bit)]
-              .push_back(f);
+          cfid_by_aggressor_[coupling(f.aggressor, f.victim)].push_back(f);
         } else if constexpr (std::is_same_v<T, StateCouplingFault>) {
-          check_bitref(f.aggressor);
-          check_bitref(f.victim);
-          if (f.aggressor == f.victim)
-            throw std::invalid_argument("coupling aggressor == victim");
-          cfst_by_aggressor_[key(f.aggressor.addr, f.aggressor.bit)]
-              .push_back(f);
+          cfst_by_aggressor_[coupling(f.aggressor, f.victim)].push_back(f);
           cfst_by_victim_[key(f.victim.addr, f.victim.bit)].push_back(f);
         } else if constexpr (std::is_same_v<T, AddressDecoderFault>) {
           if (f.logical >= g.num_words())
@@ -101,21 +103,17 @@ void FaultyMemory::add_fault(const Fault& fault) {
             if (p >= g.num_words())
               throw std::invalid_argument("AF physical address out of range");
           af_remap_[f.logical] = f.physical;
+          per_bit_[f.logical] = 1;
         } else if constexpr (std::is_same_v<T, StuckOpenFault>) {
-          check_bitref(f.cell);
-          cell_state_[key(f.cell.addr, f.cell.bit)].stuck_open = true;
+          cell_state(f.cell).stuck_open = true;
         } else if constexpr (std::is_same_v<T, DataRetentionFault>) {
-          check_bitref(f.cell);
-          cell_state_[key(f.cell.addr, f.cell.bit)].drf = f;
+          cell_state(f.cell).drf = f;
         } else if constexpr (std::is_same_v<T, IncorrectReadFault>) {
-          check_bitref(f.cell);
-          cell_state_[key(f.cell.addr, f.cell.bit)].read_inverted = true;
+          cell_state(f.cell).read_inverted = true;
         } else if constexpr (std::is_same_v<T, WriteDisturbFault>) {
-          check_bitref(f.cell);
-          cell_state_[key(f.cell.addr, f.cell.bit)].write_disturb = true;
+          cell_state(f.cell).write_disturb = true;
         } else if constexpr (std::is_same_v<T, ReadDestructiveFault>) {
-          check_bitref(f.cell);
-          cell_state_[key(f.cell.addr, f.cell.bit)].rdf = f;
+          cell_state(f.cell).rdf = f;
         } else if constexpr (std::is_same_v<T, NeighborhoodPatternFault>) {
           check_bitref(f.base);
           if (f.neighbors.empty() || f.neighbors.size() > 16)
@@ -125,6 +123,8 @@ void FaultyMemory::add_fault(const Fault& fault) {
             if (n == f.base)
               throw std::invalid_argument("NPSF base among its neighbors");
           }
+          mark_word(f.base);
+          for (const auto& n : f.neighbors) mark_word(n);
           npsf_.push_back(f);
         } else if constexpr (std::is_same_v<T, PortReadFault>) {
           if (f.port < 0 || f.port >= g.num_ports || f.bit < 0 ||
@@ -178,7 +178,8 @@ void FaultyMemory::write_word(Address addr, Word data) {
     int bit;
     bool rising;
   };
-  std::vector<Transition> transitions;
+  std::array<Transition, 64> transitions{};
+  std::size_t num_transitions = 0;
   for (int bit = 0; bit < geometry().word_bits; ++bit) {
     settle_bit(addr, bit);
     const bool old = stored_bit(addr, bit);
@@ -197,7 +198,7 @@ void FaultyMemory::write_word(Address addr, Word data) {
     }
     if (next == old) continue;
     set_stored_bit(addr, bit, next);
-    transitions.push_back(Transition{bit, next});
+    transitions[num_transitions++] = Transition{bit, next};
   }
 
   // Phase 2a: state-coupling enforcement — a victim written while its
@@ -219,7 +220,7 @@ void FaultyMemory::write_word(Address addr, Word data) {
   // after the write drivers release, so it wins over a simultaneous write
   // to the victim (this is what makes intra-word coupling detectable with
   // data backgrounds).  No cascading through victims.
-  for (const auto& tr : transitions) {
+  for (const auto& tr : std::span{transitions}.first(num_transitions)) {
     const std::uint64_t k = key(addr, tr.bit);
     if (auto fit = cfin_by_aggressor_.find(k);
         fit != cfin_by_aggressor_.end())
@@ -248,7 +249,7 @@ bool FaultyMemory::read_bit(Address addr, int bit, bool back_to_back) {
     const CellState& cs = it->second;
     if (cs.stuck_open) {
       // Open cell: the sense amplifier keeps the previous column value.
-      return sense_residue_[static_cast<std::size_t>(bit)];
+      return (sense_residue_ >> bit) & 1u;
     }
     if (cs.stuck_value) {
       sensed = *cs.stuck_value;
@@ -268,32 +269,40 @@ bool FaultyMemory::read_bit(Address addr, int bit, bool back_to_back) {
       sensed = stored_bit(addr, bit);
     }
   }
-  sense_residue_[static_cast<std::size_t>(bit)] = sensed;
+  sense_residue_ =
+      (sense_residue_ & ~(Word{1} << bit)) | (Word{sensed} << bit);
   return sensed;
 }
 
-std::vector<Address> FaultyMemory::physical_addresses(Address logical) const {
+std::span<const Address> FaultyMemory::physical_addresses(
+    const Address& logical) const {
   if (auto it = af_remap_.find(logical); it != af_remap_.end())
     return it->second;
-  return {logical};
+  return {&logical, 1};
 }
 
 Word FaultyMemory::read(int port, Address addr) {
   check_access(port, addr);
-  const auto physical = physical_addresses(addr);
-  if (physical.empty()) {
-    // No cell selected: the precharged-and-equalized bitlines resolve to a
-    // constant at the sense amplifier (modeled as all-zeros).
-    return 0;
-  }
-  // Multiple selected cells short their bitlines: wired-AND.
-  const bool back_to_back = last_read_addr_ && *last_read_addr_ == addr;
-  Word result = geometry().word_mask();
-  for (Address pa : physical) {
-    Word w = 0;
-    for (int b = 0; b < geometry().word_bits; ++b)
-      if (read_bit(pa, b, back_to_back)) w |= Word{1} << b;
-    result &= w;
+  Word result = 0;
+  if (!per_bit_[addr]) {
+    result = cells_[addr];
+    sense_residue_ = result;  // every column senses its cell
+  } else {
+    const auto physical = physical_addresses(addr);
+    if (physical.empty()) {
+      // No cell selected: the precharged-and-equalized bitlines resolve to
+      // a constant at the sense amplifier (modeled as all-zeros).
+      return 0;
+    }
+    // Multiple selected cells short their bitlines: wired-AND.
+    const bool back_to_back = last_read_addr_ && *last_read_addr_ == addr;
+    result = geometry().word_mask();
+    for (Address pa : physical) {
+      Word w = 0;
+      for (int b = 0; b < geometry().word_bits; ++b)
+        if (read_bit(pa, b, back_to_back)) w |= Word{1} << b;
+      result &= w;
+    }
   }
   last_read_addr_ = addr;
   // Defective port read path inverts its bits after the array access.
@@ -306,9 +315,14 @@ void FaultyMemory::write(int port, Address addr, Word data) {
   check_access(port, addr);
   last_read_addr_.reset();  // any write lets weak cells recover
   data &= geometry().word_mask();
-  for (Address pa : physical_addresses(addr)) {
-    write_word(pa, data);
-    last_write_ns_[pa] = now_ns_;
+  if (!per_bit_[addr]) {
+    cells_[addr] = data;
+    last_write_ns_[addr] = now_ns_;
+  } else {
+    for (Address pa : physical_addresses(addr)) {
+      write_word(pa, data);
+      last_write_ns_[pa] = now_ns_;
+    }
   }
   // Neighborhood-pattern forcing: static NPSFs hold the base cell at the
   // forced value for as long as the neighborhood pattern is present, so

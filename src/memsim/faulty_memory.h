@@ -13,8 +13,19 @@
 //          behavior; every sensed bit refreshes the column sense residue.
 //   time:  advance_time_ns() ages all words; a word unwritten for longer
 //          than a DRF's hold time decays.
+//
+// Word path: functional faults are local, so most words are named by no
+// fault.  add_fault() marks every word some fault names by cell (every
+// per-cell model, both ends of a coupling, an NPSF's base and neighbours)
+// and every AF-remapped logical address.  An access to an unmarked address
+// is one array access: a read returns the stored word and senses all of
+// it into the residue, a write stores the masked data.  Marked addresses
+// take the per-bit path above, which stays the reference semantics; the
+// two agree on every unmarked word (FaultyMemory.WordPathMatchesPerBitPath).
+// NPSFs are re-evaluated after every write on either path.
 
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -90,13 +101,21 @@ class FaultyMemory final : public Memory {
 
   [[nodiscard]] bool read_bit(Address addr, int bit, bool back_to_back);
 
-  [[nodiscard]] std::vector<Address> physical_addresses(Address logical) const;
+  /// The physical words `logical` selects.  Without an AF remap that is
+  /// `logical` itself, so the span points at the argument (hence no
+  /// temporaries).
+  [[nodiscard]] std::span<const Address> physical_addresses(
+      const Address& logical) const;
+  std::span<const Address> physical_addresses(Address&&) const = delete;
 
   std::vector<Fault> faults_;
   std::vector<Word> cells_;
   std::vector<std::uint64_t> last_write_ns_;
   std::uint64_t now_ns_ = 0;
-  std::vector<bool> sense_residue_;  ///< per column, last sensed value
+  /// Addresses that take the per-bit path (see the header comment); one
+  /// byte per address, cleared by reset().
+  std::vector<std::uint8_t> per_bit_;
+  Word sense_residue_ = 0;  ///< per column, last sensed value
   /// Address of the immediately preceding read, if the last operation was a
   /// read (weak-cell / DRDF excitation tracking).
   std::optional<Address> last_read_addr_;

@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <set>
+#include <sstream>
+#include <string>
+#include <utility>
+
 #include "march/coverage.h"
 #include "march/library.h"
 #include "memsim/faulty_memory.h"
@@ -256,6 +263,124 @@ TEST(FaultyMemory, PortsShareTheArray) {
   EXPECT_EQ(mem.read(1, 3), 0x9u);
   mem.write(1, 3, 0x6);
   EXPECT_EQ(mem.read(0, 3), 0x6u);
+}
+
+// The word path against the per-bit reference.  Memory `b` carries the
+// same faults as `a` plus an inert DRF (its hold time never elapses) on
+// every word, at a bit with no DRF of its own; that sends every access to
+// `b` down the per-bit path, while `a` serves the words no fault names on
+// the word path.  Both see one seeded stream of reads, writes and pauses.
+TEST(FaultyMemory, WordPathMatchesPerBitPath) {
+  using pmbist::march::make_fault_universe;
+  for (const int word_bits : {1, 8, 64}) {
+    for (const int ports : {1, 2}) {
+      const MemoryGeometry g{.address_bits = 4, .word_bits = word_bits,
+                             .num_ports = ports};
+      std::vector<Fault> pool;
+      for (const FaultClass cls : all_fault_classes())
+        for (Fault& f : make_fault_universe(cls, g, 11, 24))
+          pool.push_back(std::move(f));
+      ASSERT_FALSE(pool.empty());
+
+      std::mt19937_64 rng{static_cast<std::uint64_t>(word_bits * 4 + ports)};
+      // Uniform in [0, n), of n's type.
+      auto below = [&](auto n) {
+        return static_cast<decltype(n)>(rng() %
+                                        static_cast<std::uint64_t>(n));
+      };
+      auto random_bit = [&] {
+        return BitRef{static_cast<Address>(below(g.num_words())),
+                      below(word_bits)};
+      };
+      for (int trial = 0; trial < 300; ++trial) {
+        std::vector<Fault> faults;
+        const int n_faults = 1 + below(3);
+        for (int i = 0; i < n_faults; ++i) {
+          switch (below(8)) {
+            case 0: {  // NPSF with 1..3 neighbours
+              NeighborhoodPatternFault f;
+              f.base = random_bit();
+              std::set<BitRef> used{f.base};
+              const std::size_t want = 1 + below(std::size_t{3});
+              for (int tries = 0; f.neighbors.size() < want && tries < 16;
+                   ++tries) {
+                const BitRef n = random_bit();
+                if (used.insert(n).second) f.neighbors.push_back(n);
+              }
+              f.pattern = below(8u);
+              f.forced_value = below(2) != 0;
+              faults.emplace_back(std::move(f));
+              break;
+            }
+            case 1:
+              faults.emplace_back(
+                  PortReadFault{below(ports), below(word_bits)});
+              break;
+            default:
+              faults.push_back(pool[below(pool.size())]);
+          }
+        }
+
+        const std::uint64_t powerup = rng();
+        FaultyMemory a{g, powerup};
+        FaultyMemory b{g, powerup};
+        for (const Fault& f : faults) {
+          a.add_fault(f);
+          b.add_fault(f);
+        }
+        for (Address w = 0; w < g.num_words(); ++w) {
+          std::vector<bool> has_drf(static_cast<std::size_t>(word_bits));
+          for (const Fault& f : faults)
+            if (const auto* d = std::get_if<DataRetentionFault>(&f);
+                d && d->cell.addr == w)
+              has_drf[static_cast<std::size_t>(d->cell.bit)] = true;
+          for (int bit = 0; bit < word_bits; ++bit)
+            if (!has_drf[static_cast<std::size_t>(bit)]) {
+              b.add_fault(DataRetentionFault{{w, bit}, false, UINT64_MAX});
+              break;
+            }
+        }
+
+        std::ostringstream out;
+        out << "word_bits " << word_bits << ", ports " << ports << ", trial "
+            << trial << ", faults:";
+        for (const Fault& f : faults) out << ' ' << describe(f) << ';';
+        const std::string context = out.str();
+
+        Address last = 0;
+        for (int op = 0; op < 200; ++op) {
+          const int port = below(ports);
+          // Repeat the last address often enough to excite weak cells.
+          const Address addr = below(4) == 0
+                                   ? last
+                                   : static_cast<Address>(below(g.num_words()));
+          last = addr;
+          switch (below(8)) {
+            case 0: {
+              const std::uint64_t pause[] = {1, 1'000'000, 60'000'000};
+              const std::uint64_t ns = pause[below(3u)];
+              a.advance_time_ns(ns);
+              b.advance_time_ns(ns);
+              break;
+            }
+            case 1:
+            case 2:
+            case 3: {
+              const Word data = rng();
+              a.write(port, addr, data);
+              b.write(port, addr, data);
+              break;
+            }
+            default:
+              ASSERT_EQ(a.read(port, addr), b.read(port, addr))
+                  << context << " op " << op;
+          }
+        }
+        for (Address w = 0; w < g.num_words(); ++w)
+          ASSERT_EQ(a.peek(w), b.peek(w)) << context << " word " << w;
+      }
+    }
+  }
 }
 
 }  // namespace
