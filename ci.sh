@@ -12,15 +12,17 @@
 # pool and shared caches, test_backend the sharded memtest engine) for
 # data races, an Address+UndefinedBehaviorSanitizer build of
 # the thread pool, linter, controller, fuzz, campaign, backend, serve, soc,
-# field, memsim, analysis, NPSF and cross-architecture suites
-# (test_thread_pool runs with
+# field, memsim, analysis, NPSF, cross-architecture, hardwired and BIST
+# session suites (test_thread_pool runs with
 # detect_stack_use_after_return=1, so a worker touching the caller's dead
 # frame is reported; the scalar/packed equivalence sweep under ASan pins
 # the packed kernel's lane bookkeeping; test_backend pins the mmap'd
 # hostram path; test_serve the TCP transport's descriptor handling;
 # test_soc and test_field the host-RAM instance memories; test_memsim,
 # test_analysis, test_npsf and test_cross the behavioral simulator's
-# per-word path flags, indexed by raw address),
+# per-word path flags, indexed by raw address; test_ucode, test_hardwired
+# and test_bist the controllers' decoder and next-state tables, indexed by
+# raw condition bits and state numbers),
 # and (when clang-tidy is installed) a
 # static-analysis pass over the lint subsystem.  Mirrors
 # .github/workflows/ci.yml so the pipeline can be reproduced locally with a
@@ -161,7 +163,7 @@ cmake --build build-asan -j "${JOBS}" \
   --target test_campaign --target test_backend --target test_thread_pool \
   --target test_serve --target test_soc --target test_field \
   --target test_memsim --target test_analysis --target test_npsf \
-  --target test_cross
+  --target test_cross --target test_hardwired --target test_bist
 ASAN_OPTIONS=detect_stack_use_after_return=1 ./build-asan/tests/test_thread_pool
 ./build-asan/tests/test_lint
 ./build-asan/tests/test_fuzz
@@ -176,6 +178,8 @@ ASAN_OPTIONS=detect_stack_use_after_return=1 ./build-asan/tests/test_thread_pool
 ./build-asan/tests/test_analysis
 ./build-asan/tests/test_npsf
 ./build-asan/tests/test_cross
+./build-asan/tests/test_hardwired
+./build-asan/tests/test_bist
 
 if command -v clang-tidy > /dev/null; then
   echo "== clang-tidy: src/ tools/ tests/ =="

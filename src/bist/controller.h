@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "march/expand.h"
@@ -43,14 +44,22 @@ class Controller {
   Controller() = default;
 };
 
+/// The error a driver throws when `controller` runs past its cycle bound —
+/// a controller that never terminates is a bug.  One text for every
+/// driver: collect_ops, count_cycles and the SoC scheduler's sessions.
+[[nodiscard]] std::runtime_error cycle_bound_error(
+    const Controller& controller);
+
 /// Runs a controller to completion (bounded by `max_cycles`) and collects
-/// the full op stream it issues.  Throws std::runtime_error if the bound is
-/// hit — a controller that never terminates is a bug.
+/// the full op stream it issues.  Throws cycle_bound_error if the bound is
+/// hit.
 [[nodiscard]] march::OpStream collect_ops(Controller& controller,
                                           std::uint64_t max_cycles);
 
-/// Cycle count of a full run (overhead cycles included), for test-time
-/// benches.  Throws like collect_ops on runaway controllers.
+/// Cycle count of a full run (overhead cycles included), without a memory:
+/// the exact session duration the SoC scheduler's compute_schedule(), the
+/// certifier (lint/certify.h) and the in-field segmenter (field/segment.h)
+/// work from.  Throws like collect_ops on runaway controllers.
 [[nodiscard]] std::uint64_t count_cycles(Controller& controller,
                                          std::uint64_t max_cycles);
 

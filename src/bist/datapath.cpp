@@ -12,20 +12,7 @@ AddressGenerator::AddressGenerator(int address_bits)
     : address_bits_{address_bits},
       last_up_{static_cast<Address>((std::uint64_t{1} << address_bits) - 1)} {
   assert(address_bits >= 1 && address_bits <= 32);
-}
-
-void AddressGenerator::init(AddressOrder order) {
-  descending_ = order == AddressOrder::Down;
-  current_ = descending_ ? last_up_ : 0;
-}
-
-void AddressGenerator::step() {
-  assert(!at_last() && "stepping past the last address");
-  current_ = descending_ ? current_ - 1 : current_ + 1;
-}
-
-bool AddressGenerator::at_last() const noexcept {
-  return descending_ ? current_ == 0 : current_ == last_up_;
+  init(AddressOrder::Up);
 }
 
 GateInventory AddressGenerator::area(int address_bits) {
@@ -43,25 +30,6 @@ GateInventory AddressGenerator::area(int address_bits) {
 DataGenerator::DataGenerator(int word_bits)
     : backgrounds_{march::standard_backgrounds(word_bits)},
       mask_{word_bits >= 64 ? ~Word{0} : ((Word{1} << word_bits) - 1)} {}
-
-void DataGenerator::reset() { index_ = 0; }
-
-void DataGenerator::next() {
-  assert(!at_last() && "advancing past the last background");
-  ++index_;
-}
-
-Word DataGenerator::background() const {
-  return backgrounds_[static_cast<std::size_t>(index_)];
-}
-
-bool DataGenerator::at_last() const noexcept {
-  return index_ == static_cast<int>(backgrounds_.size()) - 1;
-}
-
-Word DataGenerator::data_for(bool d) const {
-  return march::apply_background(d, background(), mask_);
-}
 
 GateInventory DataGenerator::area(int word_bits) {
   GateInventory inv;
@@ -82,11 +50,6 @@ GateInventory DataGenerator::area(int word_bits) {
 
 PortSequencer::PortSequencer(int num_ports) : num_ports_{num_ports} {
   assert(num_ports >= 1);
-}
-
-void PortSequencer::next() {
-  assert(!at_last() && "advancing past the last port");
-  ++current_;
 }
 
 GateInventory PortSequencer::area(int num_ports) {

@@ -6,6 +6,7 @@
 // behavioral model (used by the cycle-accurate controllers) and a
 // structural area model (used by the Table 1-3 benches).
 
+#include <cassert>
 #include <optional>
 
 #include "march/expand.h"
@@ -24,13 +25,20 @@ class AddressGenerator {
   explicit AddressGenerator(int address_bits);
 
   /// Loads the start address for a pass in the given direction.
-  void init(AddressOrder order);
+  void init(AddressOrder order) {
+    descending_ = order == AddressOrder::Down;
+    current_ = descending_ ? last_up_ : 0;
+    last_ = descending_ ? 0 : last_up_;
+  }
   /// Advances one address in the current direction.  Precondition: not at
   /// the last address.
-  void step();
+  void step() {
+    assert(!at_last() && "stepping past the last address");
+    current_ = descending_ ? current_ - 1 : current_ + 1;
+  }
 
   [[nodiscard]] Address current() const noexcept { return current_; }
-  [[nodiscard]] bool at_last() const noexcept;
+  [[nodiscard]] bool at_last() const noexcept { return current_ == last_; }
   [[nodiscard]] bool descending() const noexcept { return descending_; }
 
   /// Structural cost: up/down counter + last-address detection (both end
@@ -41,6 +49,7 @@ class AddressGenerator {
   int address_bits_;
   Address last_up_;
   Address current_ = 0;
+  Address last_ = 0;  ///< end address of the current direction
   bool descending_ = false;
 };
 
@@ -52,18 +61,27 @@ class DataGenerator {
  public:
   explicit DataGenerator(int word_bits);
 
-  void reset();
+  void reset() { index_ = 0; }
   /// Advances to the next background.  Precondition: not at the last.
-  void next();
+  void next() {
+    assert(!at_last() && "advancing past the last background");
+    ++index_;
+  }
 
-  [[nodiscard]] Word background() const;
-  [[nodiscard]] bool at_last() const noexcept;
+  [[nodiscard]] Word background() const {
+    return backgrounds_[static_cast<std::size_t>(index_)];
+  }
+  [[nodiscard]] bool at_last() const noexcept {
+    return index_ == background_count() - 1;
+  }
   [[nodiscard]] int background_index() const noexcept { return index_; }
   [[nodiscard]] int background_count() const noexcept {
     return static_cast<int>(backgrounds_.size());
   }
   /// Test data word for march value d against the active background.
-  [[nodiscard]] Word data_for(bool d) const;
+  [[nodiscard]] Word data_for(bool d) const {
+    return march::apply_background(d, background(), mask_);
+  }
 
   [[nodiscard]] static netlist::GateInventory area(int word_bits);
 
@@ -79,7 +97,10 @@ class PortSequencer {
   explicit PortSequencer(int num_ports);
 
   void reset() { current_ = 0; }
-  void next();
+  void next() {
+    assert(!at_last() && "advancing past the last port");
+    ++current_;
+  }
 
   [[nodiscard]] int current() const noexcept { return current_; }
   [[nodiscard]] bool at_last() const noexcept {

@@ -18,10 +18,6 @@ std::vector<Word> standard_backgrounds(int word_bits) {
   return bgs;
 }
 
-Word apply_background(bool d, Word bg, Word mask) {
-  return (d ? ~bg : bg) & mask;
-}
-
 namespace {
 
 void expand_pass_into(const MarchAlgorithm& alg,

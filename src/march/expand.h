@@ -56,7 +56,9 @@ using OpStream = std::vector<MemOp>;
 
 /// Applies march data value d against background `bg`: d=0 -> bg,
 /// d=1 -> ~bg, masked to the word width.
-[[nodiscard]] Word apply_background(bool d, Word bg, Word mask);
+[[nodiscard]] inline Word apply_background(bool d, Word bg, Word mask) {
+  return (d ? ~bg : bg) & mask;
+}
 
 /// Expands `alg` over `geometry` into the reference operation stream.
 [[nodiscard]] OpStream expand(const MarchAlgorithm& alg,

@@ -1,5 +1,7 @@
 #include "mbist_hardwired/controller.h"
 
+#include <cassert>
+
 namespace pmbist::mbist_hardwired {
 
 HardwiredController::HardwiredController(const march::MarchAlgorithm& alg,
@@ -14,6 +16,16 @@ HardwiredController::HardwiredController(const march::MarchAlgorithm& alg,
   // Retention algorithms carry their pause duration in the elements.
   for (const auto& e : alg.elements())
     if (e.is_pause) config_.pause_ns = e.pause_ns;
+  assert(fsm_.num_inputs() == kNumFsmInputs);
+  constexpr std::uint32_t kInputWords = 1u << kNumFsmInputs;
+  const auto states = static_cast<std::size_t>(fsm_.num_states());
+  outputs_.reserve(states);
+  next_.reserve(states * kInputWords);
+  for (int state = 0; state < fsm_.num_states(); ++state) {
+    outputs_.push_back(fsm_.outputs_of(state));
+    for (std::uint32_t in = 0; in < kInputWords; ++in)
+      next_.push_back(fsm_.step(state, in));
+  }
   reset();
 }
 
@@ -27,12 +39,12 @@ void HardwiredController::reset() {
 }
 
 std::optional<march::MemOp> HardwiredController::step() {
-  if (done_) return std::nullopt;
-
-  const std::uint32_t out = fsm_.outputs_of(state_);
-
-  // Memory operation / pause issued in this state.
+  // Memory operation / pause issued in this state.  Every path returns
+  // `op`, so it is built in place in the caller's return slot.
   std::optional<march::MemOp> op;
+  if (done_) return op;
+
+  const std::uint32_t out = outputs_[static_cast<std::size_t>(state_)];
   if (out & kOutReadEn) {
     op = march::MemOp::read(port_.current(), addr_.current(),
                             data_.data_for(out & kOutDataVal));
@@ -51,7 +63,7 @@ std::optional<march::MemOp> HardwiredController::step() {
   if (data_.at_last()) in |= kInLastBg;
   if (port_.at_last()) in |= kInLastPort;
 
-  const int next = fsm_.step(state_, in);
+  const int next = next_state(state_, in);
 
   // Datapath side effects at the clock edge.
   if (out & kOutAddrInit)
@@ -64,7 +76,7 @@ std::optional<march::MemOp> HardwiredController::step() {
   if ((out & kOutPauseStart) && next != state_) pause_done_ = false;
 
   state_ = next;
-  if (fsm_.outputs_of(state_) & kOutDone) done_ = true;
+  if (outputs_[static_cast<std::size_t>(state_)] & kOutDone) done_ = true;
   return op;
 }
 

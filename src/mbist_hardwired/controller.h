@@ -3,7 +3,10 @@
 // interprets the generated Moore FSM (generator.h) against the shared
 // datapath, one state per cycle.  Because the same FSM is what the area
 // model synthesizes, simulated behaviour and reported overhead are
-// guaranteed to describe the same machine.
+// guaranteed to describe the same machine.  At construction the FSM is
+// tabulated — MooreFsm::step for every state x input word, and each
+// state's outputs — so a cycle costs two table lookups instead of an arc
+// scan.
 
 #include "bist/controller.h"
 #include "bist/datapath.h"
@@ -33,11 +36,18 @@ class HardwiredController final : public bist::Controller {
   std::optional<march::MemOp> step() override;
 
   [[nodiscard]] const netlist::MooreFsm& fsm() const noexcept { return fsm_; }
+  /// Tabulated next state: equals fsm().step(state, inputs) for every
+  /// state and every kNumFsmInputs-bit input word.
+  [[nodiscard]] int next_state(int state, std::uint32_t inputs) const {
+    return next_[(static_cast<std::size_t>(state) << kNumFsmInputs) | inputs];
+  }
 
  private:
   std::string algorithm_name_;
   HardwiredConfig config_;
   netlist::MooreFsm fsm_;
+  std::vector<std::uint32_t> outputs_;  ///< per state
+  std::vector<int> next_;  ///< [state << kNumFsmInputs | inputs]
 
   bist::AddressGenerator addr_;
   bist::DataGenerator data_;

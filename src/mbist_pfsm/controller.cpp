@@ -17,6 +17,13 @@ void PfsmController::load(PfsmProgram program) {
                        " instructions but the buffer holds " +
                        std::to_string(config_.buffer_depth));
   program_ = std::move(program);
+  component_ops_.clear();
+  for (const auto& instr : program_.instructions()) {
+    if (instr.ctrl)
+      component_ops_.emplace_back();
+    else
+      component_ops_.emplace_back(component_set().at(instr.mode).ops);
+  }
   reset();
 }
 
@@ -50,13 +57,16 @@ void PfsmController::advance_instruction() {
 }
 
 std::optional<march::MemOp> PfsmController::step() {
+  // Every path returns `op`, so it is built in place in the caller's
+  // return slot.
+  std::optional<march::MemOp> op;
   switch (phase_) {
     case Phase::TestEnd:
-      return std::nullopt;
+      break;
 
     case Phase::Idle:
       phase_ = Phase::Reset;
-      return std::nullopt;
+      break;
 
     case Phase::Reset: {
       const PfsmInstruction& instr = current();
@@ -83,23 +93,20 @@ std::optional<march::MemOp> PfsmController::step() {
             phase_ = Phase::TestEnd;
           }
         }
-        return std::nullopt;
+        break;
       }
       addr_.init(instr.addr_down ? march::AddressOrder::Down
                                  : march::AddressOrder::Up);
       op_idx_ = 0;
       phase_ = Phase::Op;
-      return std::nullopt;
+      break;
     }
 
     case Phase::Op: {
       const PfsmInstruction& instr = current();
-      const auto& comp =
-          component_set()[static_cast<std::size_t>(instr.mode)];
-      const ComponentOp& cop =
-          comp.ops[static_cast<std::size_t>(op_idx_)];
+      const auto ops = component_ops_[static_cast<std::size_t>(pc_)];
+      const ComponentOp& cop = ops[static_cast<std::size_t>(op_idx_)];
 
-      std::optional<march::MemOp> op;
       if (cop.is_read) {
         op = march::MemOp::read(port_.current(), addr_.current(),
                                 data_.data_for(instr.cmp_inv != cop.inverted));
@@ -109,7 +116,7 @@ std::optional<march::MemOp> PfsmController::step() {
             data_.data_for(instr.data_inv != cop.inverted));
       }
 
-      const bool last_op = op_idx_ == static_cast<int>(comp.ops.size()) - 1;
+      const bool last_op = op_idx_ == static_cast<int>(ops.size()) - 1;
       if (!last_op) {
         ++op_idx_;
       } else if (!addr_.at_last()) {
@@ -118,20 +125,21 @@ std::optional<march::MemOp> PfsmController::step() {
       } else {
         phase_ = Phase::Done;
       }
-      return op;
+      break;
     }
 
     case Phase::Done: {
       const PfsmInstruction& instr = current();
       if (instr.hold_after && !pause_emitted_) {
         pause_emitted_ = true;
-        return march::MemOp::pause(config_.pause_ns);
+        op = march::MemOp::pause(config_.pause_ns);
+      } else {
+        advance_instruction();
       }
-      advance_instruction();
-      return std::nullopt;
+      break;
     }
   }
-  return std::nullopt;
+  return op;
 }
 
 }  // namespace pmbist::mbist_pfsm

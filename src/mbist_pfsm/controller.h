@@ -9,6 +9,11 @@
 // is set); loop-control instructions cost one cycle.  This overhead is what
 // makes the pFSM slightly slower than the microcode controller on the same
 // algorithm — see bench_test_time.
+//
+// load() resolves each buffer entry's SM component (component_set()) once,
+// so the per-cycle Op state indexes the component's ops directly.
+
+#include <span>
 
 #include "bist/controller.h"
 #include "bist/datapath.h"
@@ -69,6 +74,9 @@ class PfsmController final : public bist::Controller {
 
   PfsmConfig config_;
   PfsmProgram program_;
+  /// Per buffer entry: the ops of its SM component (empty for loop-control
+  /// instructions).
+  std::vector<std::span<const ComponentOp>> component_ops_;
 
   bist::AddressGenerator addr_;
   bist::DataGenerator data_;

@@ -21,9 +21,8 @@ const std::vector<std::string>& decoder_input_names() {
 
 const std::vector<DecoderOutput>& decoder_covers() {
   static const std::vector<DecoderOutput> cached = [] {
-    // Decoder inputs, low bit first: flow[0..2], addr_inc, last_addr,
-    // last_data, last_port, repeat, pause_done = 9 variables.
-    constexpr int kVars = 9;
+    // Decoder inputs in decode_minterm() order (isa.h).
+    constexpr int kVars = kDecodeInputBits;
     static const char* kOutputNames[kDecodeOutputCount] = {
         "ic_inc",      "ic_reset0",   "ic_reset1", "ic_load_branch",
         "branch_save", "ref_load",    "repeat_set", "repeat_clear",
@@ -33,16 +32,9 @@ const std::vector<DecoderOutput>& decoder_covers() {
     for (int out_bit = 0; out_bit < kDecodeOutputCount; ++out_bit) {
       netlist::TruthTable table{kVars};
       for (std::uint32_t m = 0; m < table.size(); ++m) {
-        const auto flow = static_cast<Flow>(m & 0x7);
-        const DecodeInputs in{
-            .addr_inc = ((m >> 3) & 1) != 0,
-            .last_addr = ((m >> 4) & 1) != 0,
-            .last_data = ((m >> 5) & 1) != 0,
-            .last_port = ((m >> 6) & 1) != 0,
-            .repeat_bit = ((m >> 7) & 1) != 0,
-            .pause_done = ((m >> 8) & 1) != 0,
-        };
-        const bool bit = (pack(decode(flow, in)) >> out_bit) & 1u;
+        const bool bit =
+            (pack(decode(decode_flow_of(m), decode_inputs_of(m))) >> out_bit) &
+            1u;
         table.set(m, bit ? netlist::Tri::One : netlist::Tri::Zero);
       }
       const auto minimized = netlist::minimize(table);

@@ -69,11 +69,14 @@ void MicrocodeController::reset() {
 }
 
 std::optional<march::MemOp> MicrocodeController::step() {
-  if (done_) return std::nullopt;
+  // The memory operation issued this cycle.  Every path returns `op`, so
+  // it is built in place in the caller's return slot.
+  std::optional<march::MemOp> op;
+  if (done_) return op;
   if (ic_ >= program_.size()) {
     // Instruction-address exhaustion ends the test (paper, Sec. 2.1).
     done_ = true;
-    return std::nullopt;
+    return op;
   }
 
   const Instruction& instr = program_.instructions()[
@@ -91,18 +94,14 @@ std::optional<march::MemOp> MicrocodeController::step() {
     fresh_element_ = false;
   }
 
-  const DecodeInputs in{
-      .addr_inc = instr.addr_inc,
-      .last_addr = addr_.at_last(),
-      .last_data = data_.at_last(),
-      .last_port = port_.at_last(),
-      .repeat_bit = repeat_,
-      .pause_done = pause_done_,
-  };
-  const DecodeOutputs out = decode(instr.flow, in);
+  const std::uint32_t out = kDecoderTable[decode_minterm(
+      instr.flow, DecodeInputs{.addr_inc = instr.addr_inc,
+                               .last_addr = addr_.at_last(),
+                               .last_data = data_.at_last(),
+                               .last_port = port_.at_last(),
+                               .repeat_bit = repeat_,
+                               .pause_done = pause_done_})];
 
-  // Memory operation issued this cycle.
-  std::optional<march::MemOp> op;
   if (is_op_flow) {
     if (instr.rw == Rw::Read) {
       op = march::MemOp::read(port_.current(), addr_.current(),
@@ -111,42 +110,42 @@ std::optional<march::MemOp> MicrocodeController::step() {
       op = march::MemOp::write(port_.current(), addr_.current(),
                                data_.data_for(instr.data_inv ^ aux_data_));
     }
-  } else if (out.pause_start) {
+  } else if (out & kDecPauseStart) {
     op = march::MemOp::pause(config_.pause_ns);
     pause_done_ = true;  // timer modeled as expiring before the next cycle
   }
 
   // Register updates at the clock edge.
-  if (out.ref_load) {
+  if (out & kDecRefLoad) {
     aux_order_ = instr.addr_down;
     aux_data_ = instr.data_inv;
     aux_cmp_ = instr.cmp_inv;
   }
-  if (out.repeat_set) repeat_ = true;
-  if (out.repeat_clear) {
+  if (out & kDecRepeatSet) repeat_ = true;
+  if (out & kDecRepeatClear) {
     repeat_ = false;
     aux_order_ = aux_data_ = aux_cmp_ = false;  // reference register cleared
   }
-  if (out.branch_save) branch_ = ic_ + 1;
-  if (out.addr_step) addr_.step();
-  if (out.addr_init) fresh_element_ = true;
-  if (out.data_inc) data_.next();
-  if (out.data_reset) data_.reset();
-  if (out.port_inc) port_.next();
+  if (out & kDecBranchSave) branch_ = ic_ + 1;
+  if (out & kDecAddrStep) addr_.step();
+  if (out & kDecAddrInit) fresh_element_ = true;
+  if (out & kDecDataInc) data_.next();
+  if (out & kDecDataReset) data_.reset();
+  if (out & kDecPortInc) port_.next();
 
-  if (out.terminate) {
+  if (out & kDecTerminate) {
     done_ = true;
-  } else if (out.ic_load_branch) {
+  } else if (out & kDecIcLoadBranch) {
     ic_ = branch_;
-  } else if (out.ic_reset0) {
+  } else if (out & kDecIcReset0) {
     // Forced IC loads also load the branch register, so the first element
     // of the restarted pass loops correctly.
     ic_ = 0;
     branch_ = 0;
-  } else if (out.ic_reset1) {
+  } else if (out & kDecIcReset1) {
     ic_ = 1;
     branch_ = 1;
-  } else if (out.ic_inc) {
+  } else if (out & kDecIcInc) {
     ++ic_;
     if (instr.flow == Flow::Pause) pause_done_ = false;  // re-arm the timer
   }

@@ -4,7 +4,10 @@
 // selector, branch register, instruction decoder and reference register,
 // driving the shared BIST datapath.  Every control decision goes through
 // isa.h's decode() — the same function the synthesized decoder area model
-// is built from.
+// is built from.  The controller evaluates the decoder through its truth
+// table (isa.h kDecoderTable, pack(decode()) for each of the 512 input
+// minterms, computed at compile time), so a cycle costs one table lookup:
+// the decoder is combinational logic, and the table is that circuit.
 
 #include "bist/controller.h"
 #include "bist/datapath.h"

@@ -168,91 +168,4 @@ MicrocodeProgram MicrocodeProgram::from_hex_text(std::string_view text) {
   return MicrocodeProgram{std::move(name), std::move(code)};
 }
 
-DecodeOutputs decode(Flow flow, const DecodeInputs& in) {
-  DecodeOutputs out;
-  switch (flow) {
-    case Flow::Next:
-      out.ic_inc = true;
-      out.addr_step = in.addr_inc && !in.last_addr;
-      break;
-    case Flow::LoopSelf:
-      if (!in.last_addr) {
-        out.addr_step = true;  // IC holds
-      } else {
-        out.ic_inc = true;
-        out.branch_save = true;
-        out.addr_init = true;
-      }
-      break;
-    case Flow::LoopCell:
-      if (!in.last_addr) {
-        out.addr_step = true;
-        out.ic_load_branch = true;
-      } else {
-        out.ic_inc = true;
-        out.branch_save = true;
-        out.addr_init = true;
-      }
-      break;
-    case Flow::Repeat:
-      if (!in.repeat_bit) {
-        out.repeat_set = true;
-        out.ref_load = true;
-        out.ic_reset1 = true;
-        out.addr_init = true;
-      } else {
-        out.repeat_clear = true;
-        out.ic_inc = true;
-        out.branch_save = true;  // next element group starts at IC+1
-        out.addr_init = true;
-      }
-      break;
-    case Flow::Pause:
-      if (in.pause_done) {
-        out.ic_inc = true;
-        out.branch_save = true;  // a pause ends an element group
-      } else {
-        out.pause_start = true;
-      }
-      break;
-    case Flow::LoopData:
-      if (!in.last_data) {
-        out.data_inc = true;
-        out.ic_reset0 = true;
-        out.addr_init = true;
-      } else {
-        out.data_reset = true;
-        out.ic_inc = true;
-      }
-      break;
-    case Flow::LoopPort:
-      if (!in.last_port) {
-        out.port_inc = true;
-        out.data_reset = true;
-        out.ic_reset0 = true;
-        out.addr_init = true;
-      } else {
-        out.terminate = true;
-      }
-      break;
-    case Flow::Terminate:
-      out.terminate = true;
-      break;
-  }
-  return out;
-}
-
-std::uint32_t pack(const DecodeOutputs& o) {
-  std::uint32_t bits = 0;
-  int idx = 0;
-  for (bool b : {o.ic_inc, o.ic_reset0, o.ic_reset1, o.ic_load_branch,
-                 o.branch_save, o.ref_load, o.repeat_set, o.repeat_clear,
-                 o.addr_step, o.addr_init, o.data_inc, o.data_reset,
-                 o.port_inc, o.pause_start, o.terminate}) {
-    if (b) bits |= 1u << idx;
-    ++idx;
-  }
-  return bits;
-}
-
 }  // namespace pmbist::mbist_ucode

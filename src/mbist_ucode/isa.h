@@ -43,8 +43,10 @@
 //              terminate.
 //   Terminate  unconditional end of test.
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace pmbist::mbist_ucode {
@@ -153,6 +155,25 @@ struct DecodeOutputs {
 
 inline constexpr int kDecodeOutputCount = 15;
 
+/// Bit of each DecodeOutputs signal in pack()'s vector.
+enum DecodeBit : std::uint32_t {
+  kDecIcInc = 1u << 0,
+  kDecIcReset0 = 1u << 1,
+  kDecIcReset1 = 1u << 2,
+  kDecIcLoadBranch = 1u << 3,
+  kDecBranchSave = 1u << 4,
+  kDecRefLoad = 1u << 5,
+  kDecRepeatSet = 1u << 6,
+  kDecRepeatClear = 1u << 7,
+  kDecAddrStep = 1u << 8,
+  kDecAddrInit = 1u << 9,
+  kDecDataInc = 1u << 10,
+  kDecDataReset = 1u << 11,
+  kDecPortInc = 1u << 12,
+  kDecPauseStart = 1u << 13,
+  kDecTerminate = 1u << 14,
+};
+
 /// Condition inputs sampled by the decoder.
 struct DecodeInputs {
   bool addr_inc = false;   ///< instruction field
@@ -163,11 +184,139 @@ struct DecodeInputs {
   bool pause_done = false;
 };
 
-/// The instruction decoder as a pure function (Flow x fields x conditions
-/// -> control signals).
-[[nodiscard]] DecodeOutputs decode(Flow flow, const DecodeInputs& in);
+/// The decoder's 9 input variables as one minterm, low bit first:
+/// flow[0..2], addr_inc, last_addr, last_data, last_port, repeat_bit,
+/// pause_done — the variable order of the synthesized decoder (area.h) and
+/// the row index of kDecoderTable (below).
+inline constexpr int kDecodeInputBits = 9;
+[[nodiscard]] constexpr std::uint32_t decode_minterm(Flow flow,
+                                                     const DecodeInputs& in) {
+  return static_cast<std::uint32_t>(flow) |
+         static_cast<std::uint32_t>(in.addr_inc) << 3 |
+         static_cast<std::uint32_t>(in.last_addr) << 4 |
+         static_cast<std::uint32_t>(in.last_data) << 5 |
+         static_cast<std::uint32_t>(in.last_port) << 6 |
+         static_cast<std::uint32_t>(in.repeat_bit) << 7 |
+         static_cast<std::uint32_t>(in.pause_done) << 8;
+}
+/// Inverse of decode_minterm() on the low kDecodeInputBits bits.
+[[nodiscard]] constexpr DecodeInputs decode_inputs_of(std::uint32_t m) {
+  return DecodeInputs{.addr_inc = ((m >> 3) & 1) != 0,
+                      .last_addr = ((m >> 4) & 1) != 0,
+                      .last_data = ((m >> 5) & 1) != 0,
+                      .last_port = ((m >> 6) & 1) != 0,
+                      .repeat_bit = ((m >> 7) & 1) != 0,
+                      .pause_done = ((m >> 8) & 1) != 0};
+}
+[[nodiscard]] constexpr Flow decode_flow_of(std::uint32_t m) {
+  return static_cast<Flow>(m & 0x7);
+}
 
-/// Packs DecodeOutputs into a bit vector in a fixed order (for synthesis).
-[[nodiscard]] std::uint32_t pack(const DecodeOutputs& out);
+/// The instruction decoder as a pure function (Flow x fields x conditions
+/// -> control signals).  constexpr, so the behavioral controller's decoder
+/// table (kDecoderTable) is evaluated from it at compile time.
+[[nodiscard]] constexpr DecodeOutputs decode(Flow flow,
+                                         const DecodeInputs& in) {
+  DecodeOutputs out;
+  switch (flow) {
+    case Flow::Next:
+      out.ic_inc = true;
+      out.addr_step = in.addr_inc && !in.last_addr;
+      break;
+    case Flow::LoopSelf:
+      if (!in.last_addr) {
+        out.addr_step = true;  // IC holds
+      } else {
+        out.ic_inc = true;
+        out.branch_save = true;
+        out.addr_init = true;
+      }
+      break;
+    case Flow::LoopCell:
+      if (!in.last_addr) {
+        out.addr_step = true;
+        out.ic_load_branch = true;
+      } else {
+        out.ic_inc = true;
+        out.branch_save = true;
+        out.addr_init = true;
+      }
+      break;
+    case Flow::Repeat:
+      if (!in.repeat_bit) {
+        out.repeat_set = true;
+        out.ref_load = true;
+        out.ic_reset1 = true;
+        out.addr_init = true;
+      } else {
+        out.repeat_clear = true;
+        out.ic_inc = true;
+        out.branch_save = true;  // next element group starts at IC+1
+        out.addr_init = true;
+      }
+      break;
+    case Flow::Pause:
+      if (in.pause_done) {
+        out.ic_inc = true;
+        out.branch_save = true;  // a pause ends an element group
+      } else {
+        out.pause_start = true;
+      }
+      break;
+    case Flow::LoopData:
+      if (!in.last_data) {
+        out.data_inc = true;
+        out.ic_reset0 = true;
+        out.addr_init = true;
+      } else {
+        out.data_reset = true;
+        out.ic_inc = true;
+      }
+      break;
+    case Flow::LoopPort:
+      if (!in.last_port) {
+        out.port_inc = true;
+        out.data_reset = true;
+        out.ic_reset0 = true;
+        out.addr_init = true;
+      } else {
+        out.terminate = true;
+      }
+      break;
+    case Flow::Terminate:
+      out.terminate = true;
+      break;
+  }
+  return out;
+}
+
+/// Packs DecodeOutputs into a bit vector (bit positions: DecodeBit).
+[[nodiscard]] constexpr std::uint32_t pack(const DecodeOutputs& o) {
+  const std::pair<bool, DecodeBit> signals[kDecodeOutputCount] = {
+      {o.ic_inc, kDecIcInc},           {o.ic_reset0, kDecIcReset0},
+      {o.ic_reset1, kDecIcReset1},     {o.ic_load_branch, kDecIcLoadBranch},
+      {o.branch_save, kDecBranchSave}, {o.ref_load, kDecRefLoad},
+      {o.repeat_set, kDecRepeatSet},   {o.repeat_clear, kDecRepeatClear},
+      {o.addr_step, kDecAddrStep},     {o.addr_init, kDecAddrInit},
+      {o.data_inc, kDecDataInc},       {o.data_reset, kDecDataReset},
+      {o.port_inc, kDecPortInc},       {o.pause_start, kDecPauseStart},
+      {o.terminate, kDecTerminate}};
+  std::uint32_t bits = 0;
+  for (const auto& [set, bit] : signals)
+    if (set) bits |= bit;
+  return bits;
+}
+
+/// The decoder as a truth table: row decode_minterm(flow, in) holds
+/// pack(decode(flow, in)) — the combinational decoder circuit as a ROM,
+/// which is how the behavioral controller evaluates it.
+using DecoderTable = std::array<std::uint16_t, 1u << kDecodeInputBits>;
+inline constexpr DecoderTable kDecoderTable = [] {
+  DecoderTable table{};
+  for (std::uint32_t m = 0; m < table.size(); ++m)
+    table[m] = static_cast<std::uint16_t>(
+        pack(decode(decode_flow_of(m), decode_inputs_of(m))));
+  return table;
+}();
 
 }  // namespace pmbist::mbist_ucode

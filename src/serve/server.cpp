@@ -124,7 +124,8 @@ void Server::emit(const Sink& sink, const std::string& line) {
   sink(line);
 }
 
-bool Server::post(const std::string& line, Sink sink) {
+bool Server::post(const std::string& line, Sink sink,
+                  std::string* queued_id) {
   Request req;
   try {
     req = parse_request(line);
@@ -168,6 +169,7 @@ bool Server::post(const std::string& line, Sink sink) {
   // `accepted` goes out before post() returns, so a client always sees it
   // ahead of any progress/terminal event of the same request.
   emit(sink, event_accepted(req.id));
+  if (queued_id != nullptr) *queued_id = req.id;
   pool_->submit([this, req = std::move(req), session, sink = std::move(sink)] {
     run_session(req, session, sink);
   });
@@ -377,13 +379,7 @@ std::vector<std::string> Server::call(const std::string& line) {
   Sink sink = [&events](const std::string& s) { events.push_back(s); };
 
   std::string id;
-  try {
-    id = parse_request(line).id;
-  } catch (const ProtocolError&) {
-    // post() re-parses and emits the error event.
-  }
-  const bool queued = post(line, std::move(sink));
-  if (queued) wait_finished(id);
+  if (post(line, std::move(sink), &id)) wait_finished(id);
   return events;
 }
 
@@ -483,24 +479,27 @@ int Server::serve_tcp(int port, const std::function<void(int)>& ready,
     tcp_->readers[conn] = std::thread([this, cfd, conn] {
       Sink sink = [cfd](const std::string& line) { send_all(cfd, line); };
       std::vector<std::string> posted;  ///< session ids of this connection
+      // Each byte is scanned for '\n' once: `scanned` is the prefix of
+      // `pending` already known to hold no newline, and consumed lines
+      // leave the buffer in one erase per recv.
       std::string pending;
+      std::size_t scanned = 0;
       char buf[4096];
       for (;;) {
         const ssize_t n = ::recv(cfd, buf, sizeof buf, 0);
         if (n <= 0) break;
         pending.append(buf, static_cast<std::size_t>(n));
-        std::size_t nl;
-        while ((nl = pending.find('\n')) != std::string::npos) {
-          const std::string line = pending.substr(0, nl);
-          pending.erase(0, nl + 1);
+        std::size_t begin = 0;
+        for (std::size_t nl;
+             (nl = pending.find('\n', scanned)) != std::string::npos;
+             scanned = begin = nl + 1) {
+          const std::string line = pending.substr(begin, nl - begin);
           if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-          std::string id;
-          try {
-            id = parse_request(line).id;
-          } catch (const ProtocolError&) {
-          }
-          if (post(line, sink)) posted.push_back(id);
+          if (std::string id; post(line, sink, &id))
+            posted.push_back(std::move(id));
         }
+        pending.erase(0, begin);
+        scanned = pending.size();
       }
       // Drain this connection's sessions before closing the socket, so a
       // client that half-closes after its last request still receives

@@ -83,8 +83,11 @@ class Server {
   /// Submits one request line.  Emits `accepted` (and queues the session)
   /// or the complete response for control requests (cancel/stats) and
   /// parse errors synchronously, before returning.  Returns true when a
-  /// session was queued (a terminal event will follow asynchronously).
-  bool post(const std::string& line, Sink sink);
+  /// session was queued (a terminal event will follow asynchronously); its
+  /// id is then written to `queued_id` when given, so a transport can wait
+  /// for the session without parsing the line again.
+  bool post(const std::string& line, Sink sink,
+            std::string* queued_id = nullptr);
 
   /// Synchronous convenience: post() and block until the terminal event;
   /// returns every event emitted for the request, in order.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -34,30 +35,34 @@ struct ControllerSlot {
   std::unique_ptr<bist::Controller> controller;
   ControllerKind kind = ControllerKind::Hardwired;
   memsim::MemoryGeometry geometry{};
+  std::uint64_t load_cycles = 0;  ///< program-load cost of the last prepare
 
   bist::Controller& prepare(ControllerKind k, const march::MarchAlgorithm& alg,
                             const memsim::MemoryGeometry& g) {
     if (controller && kind == k && geometry == g) {
       if (k == ControllerKind::Ucode) {
-        static_cast<mbist_ucode::MicrocodeController&>(*controller)
-            .load_algorithm(alg);
+        auto& c = static_cast<mbist_ucode::MicrocodeController&>(*controller);
+        c.load_algorithm(alg);
+        load_cycles = c.program_load_cycles();
         return *controller;
       }
       if (k == ControllerKind::Pfsm) {
-        static_cast<mbist_pfsm::PfsmController&>(*controller)
-            .load_algorithm(alg);
+        auto& c = static_cast<mbist_pfsm::PfsmController&>(*controller);
+        c.load_algorithm(alg);
+        load_cycles = c.program_load_cycles();
         return *controller;
       }
     }
-    controller = make_plan_controller(k, alg, g, nullptr);
+    controller = make_plan_controller(k, alg, g, &load_cycles);
     kind = k;
     geometry = g;
     return *controller;
   }
 };
 
-/// Per-assignment compiled task: resolved algorithm, instance, weight, and
-/// exact cycle costs.
+/// Per-assignment compiled task: resolved algorithm, instance and weight,
+/// plus the cycle costs of whoever steps its controller —
+/// compute_schedule() through bist::count_cycles, run() from the session.
 struct Task {
   march::MarchAlgorithm alg;
   const MemoryInstance* mem = nullptr;
@@ -71,27 +76,15 @@ struct Task {
 };
 
 std::vector<Task> compile_plan(const SocDescription& chip,
-                               const TestPlan& plan,
-                               const SchedulerOptions& options) {
+                               const TestPlan& plan) {
   plan.validate(chip);
   const auto& assignments = plan.assignments();
-  const auto n = assignments.size();
-  std::vector<Task> tasks(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  std::vector<Task> tasks(assignments.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
     tasks[i].alg = resolve_algorithm(assignments[i].algorithm);
     tasks[i].mem = chip.find(assignments[i].memory);
     tasks[i].weight = plan.effective_weight(assignments[i], *tasks[i].mem);
   }
-  // Exact durations: each worker steps one controller to completion (no
-  // memory involved — controller op streams are data-independent).
-  common::parallel_shards(
-      options.jobs, static_cast<int>(n), [&](int i) {
-        const auto& a = assignments[static_cast<std::size_t>(i)];
-        auto& t = tasks[static_cast<std::size_t>(i)];
-        const auto ctrl = make_plan_controller(a.controller, t.alg,
-                                               t.mem->geometry, &t.load_cycles);
-        t.test_cycles = bist::count_cycles(*ctrl, options.max_cycles);
-      });
   return tasks;
 }
 
@@ -207,13 +200,16 @@ struct PendingRetest {
   repair::RepairSolution solution;
 };
 
+/// Runs one first-pass session (and, unless the retest is `deferred`, its
+/// BISR leg) and records the session's exact cycle costs in `task`.
+/// Throws bist::cycle_bound_error when the controller does not terminate
+/// within options.max_cycles.
 InstanceResult run_instance(const TestAssignment& assignment,
-                            const MemoryInstance& instance,
-                            const march::MarchAlgorithm& alg,
+                            const MemoryInstance& instance, Task& task,
                             ControllerSlot& slot,
                             const SchedulerOptions& options,
                             std::unique_ptr<PendingRetest>* deferred) {
-  auto& controller = slot.prepare(assignment.controller, alg,
+  auto& controller = slot.prepare(assignment.controller, task.alg,
                                   instance.geometry);
   auto memory = make_instance_memory(instance, options.backend);
   const bist::SessionOptions session_options{
@@ -223,6 +219,9 @@ InstanceResult run_instance(const TestAssignment& assignment,
       .session =
           bist::run_session(controller, *memory, session_options),
       .repair = std::nullopt};
+  if (!result.session.completed()) throw bist::cycle_bound_error(controller);
+  task.load_cycles = slot.load_cycles;
+  task.test_cycles = result.session.cycles;
   if (instance.repair.any() && instance.geometry.bit_oriented() &&
       !result.session.failures.empty()) {
     RepairOutcome outcome;
@@ -251,10 +250,12 @@ InstanceResult run_instance(const TestAssignment& assignment,
   return result;
 }
 
-/// Execution units: one per share group (members serialized in scheduled
-/// order on one controller seat) and one per dedicated session.
-/// `indices[j]` names an assignment; `start[j]` is its start cycle.  The
-/// returned members are assignment-index positions within `indices`.
+/// Execution units: one per share group (members serialized in (start
+/// cycle, name) order on one controller seat) and one per dedicated
+/// session.  `indices[j]` names an assignment; `start[j]` is its start
+/// cycle — all zero for the first pass, which runs before the schedule
+/// exists, so group members run in name order.  The returned members are
+/// assignment-index positions within `indices`.
 struct Unit {
   std::uint64_t first_start = 0;
   std::string first_name;
@@ -362,7 +363,17 @@ int SocResult::healthy_count() const noexcept {
 
 std::vector<ScheduledSession> Scheduler::compute_schedule(
     const SocDescription& chip, const TestPlan& plan) const {
-  const auto tasks = compile_plan(chip, plan, options_);
+  auto tasks = compile_plan(chip, plan);
+  // Exact durations: each worker steps one controller to completion (no
+  // memory involved — controller op streams are data-independent).
+  common::parallel_shards(
+      options_.jobs, static_cast<int>(tasks.size()), [&](int i) {
+        const auto& a = plan.assignments()[static_cast<std::size_t>(i)];
+        auto& t = tasks[static_cast<std::size_t>(i)];
+        const auto ctrl = make_plan_controller(a.controller, t.alg,
+                                               t.mem->geometry, &t.load_cycles);
+        t.test_cycles = bist::count_cycles(*ctrl, options_.max_cycles);
+      });
   auto sessions = make_sessions(
       tasks, plan,
       list_schedule(tasks, plan.assignments(), plan.power().budget));
@@ -374,30 +385,44 @@ SocResult Scheduler::run(const SocDescription& chip,
                          const TestPlan& plan) const {
   const auto t0 = std::chrono::steady_clock::now();
   check_backend_supports(chip, options_.backend);
-  const auto tasks = compile_plan(chip, plan, options_);
+  auto tasks = compile_plan(chip, plan);
   const auto& assignments = plan.assignments();
-  const auto start = list_schedule(tasks, assignments, plan.power().budget);
   const auto n = assignments.size();
 
+  // First pass, before any scheduling: a session's result never depends on
+  // when it starts (fresh memory, controller reset), and each session
+  // yields its task's exact cycle costs — the same numbers
+  // compute_schedule() gets from bist::count_cycles.  Errors are collected
+  // per assignment and the first in plan order is rethrown, so the error a
+  // run reports does not depend on the worker count.
   std::vector<std::size_t> all(n);
   std::iota(all.begin(), all.end(), std::size_t{0});
-  const auto units = group_units(assignments, all, start);
-
+  const auto units =
+      group_units(assignments, all, std::vector<std::uint64_t>(n, 0));
   std::vector<InstanceResult> results(n);
   std::vector<std::unique_ptr<PendingRetest>> pending(n);
+  std::vector<std::exception_ptr> errors(n);
   std::atomic<int> done{0};
   common::parallel_shards(
       options_.jobs, static_cast<int>(units.size()), [&](int u) {
         ControllerSlot slot;
         for (const auto idx : units[static_cast<std::size_t>(u)].members) {
           common::throw_if_cancelled(options_.cancel);
-          results[idx] = run_instance(
-              assignments[idx], *tasks[idx].mem, tasks[idx].alg, slot,
-              options_, options_.fold_retests ? &pending[idx] : nullptr);
+          try {
+            results[idx] = run_instance(
+                assignments[idx], *tasks[idx].mem, tasks[idx], slot, options_,
+                options_.fold_retests ? &pending[idx] : nullptr);
+          } catch (const std::exception&) {
+            errors[idx] = std::current_exception();
+            continue;
+          }
           if (options_.progress)
             options_.progress(done.fetch_add(1) + 1, static_cast<int>(n));
         }
       });
+  for (const auto& error : errors)
+    if (error) std::rethrow_exception(error);
+  const auto start = list_schedule(tasks, assignments, plan.power().budget);
 
   SocResult out;
   out.schedule = make_sessions(tasks, plan, start);

@@ -15,16 +15,25 @@
 //      a pure function of (chip, plan): it never depends on --jobs or the
 //      host machine.
 //
-//   2. run() — executes every session via bist::run_session on the shared
-//      ThreadPool.  Sessions of one share group run serially (in scheduled
-//      order) on one worker, reusing one controller object and re-loading
-//      its program per memory; dedicated sessions parallelize freely up to
-//      `jobs`.  Each result is written into its pre-sized slot, and each
-//      simulation depends only on (program, geometry, faults, power-up
-//      seed) — so a SocResult is bit-identical for any worker count, the
-//      same determinism contract as march::run_campaign.  Instances with
-//      spare rows/columns that fail get the full BISR leg: fail bitmap ->
-//      redundancy allocation -> spare switch-in -> retest.
+//   2. run() — steps each controller once: it executes every first-pass
+//      session via bist::run_session on the shared ThreadPool BEFORE
+//      scheduling, and takes each duration from the session's own cycle
+//      count — the number count_cycles gives, since a session's result
+//      never depends on when it starts (the controller is reset, the memory
+//      is fresh).  It then list-schedules exactly as compute_schedule()
+//      does, so run().schedule == compute_schedule().  Sessions of one
+//      share group run serially, in instance-name order, on one worker,
+//      reusing one controller object and re-loading its program per
+//      memory; dedicated sessions parallelize freely up to `jobs`.  A
+//      session that hits max_cycles fails the run with
+//      bist::cycle_bound_error — the error count_cycles throws — for the
+//      first such assignment in plan order.  Each result is written into
+//      its pre-sized slot, and each simulation depends only on (program,
+//      geometry, faults, power-up seed) — so a SocResult is bit-identical
+//      for any worker count, the same determinism contract as
+//      march::run_campaign.  Instances with spare rows/columns that fail
+//      get the full BISR leg: fail bitmap -> redundancy allocation ->
+//      spare switch-in -> retest (folded retests run in scheduled order).
 //
 // docs/SOC.md documents the power model, the sharing rules and this
 // scheduling contract.

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+
 #include "bist/session.h"
 #include "march/library.h"
 #include "mbist_hardwired/area.h"
@@ -12,6 +15,7 @@
 #include "mbist_pfsm/controller.h"
 #include "mbist_ucode/area.h"
 #include "mbist_ucode/controller.h"
+#include "soc/scheduler.h"
 
 namespace {
 
@@ -94,6 +98,102 @@ TEST(Cross, MicrocodeIsAtLeastAsFastAsPfsm) {
     const auto cp = bist::count_cycles(pfsm, 10'000'000);
     EXPECT_LE(cu, cp) << name;
     EXPECT_GE(cu, march::expanded_op_count(alg, g)) << name;
+  }
+}
+
+// Exact cycle counts of every library algorithm on each family, as the
+// SoC scheduler builds the controllers (soc::make_plan_controller), pinned
+// so a faster step() cannot change what a cycle means.  -1: the pFSM
+// cannot realize the algorithm (CompileError).
+TEST(Cross, CycleCountsArePinned) {
+  const MemoryGeometry geometries[] = {{.address_bits = 6},
+                                       {.address_bits = 8, .word_bits = 8},
+                                       {.address_bits = 8, .word_bits = 8,
+                                        .num_ports = 2},
+                                       {.address_bits = 7, .word_bits = 16}};
+  const soc::ControllerKind kinds[] = {soc::ControllerKind::Ucode,
+                                       soc::ControllerKind::Pfsm,
+                                       soc::ControllerKind::Hardwired};
+  // {ucode, pfsm, hardwired} per geometry, in the order above.
+  struct Row {
+    const char* algorithm;
+    long long cycles[4][3];
+  };
+  const Row expected[] = {
+      {"MATS",
+       {{258, 265, 260}, {4101, 4126, 4112}, {8202, 8251, 8224},
+        {2566, 2597, 2580}}},
+      {"MATS+",
+       {{324, 329, 324}, {5133, 5150, 5136}, {10266, 10299, 10272},
+        {3216, 3237, 3220}}},
+      {"MATS++",
+       {{386, 393, 388}, {6149, 6174, 6160}, {12298, 12347, 12320},
+        {3846, 3877, 3860}}},
+      {"March X",
+       {{388, 395, 389}, {6157, 6182, 6164}, {12314, 12363, 12328},
+        {3856, 3887, 3865}}},
+      {"March Y",
+       {{516, 523, 517}, {8205, 8230, 8212}, {16410, 16459, 16424},
+        {5136, 5167, 5145}}},
+      {"March C",
+       {{644, 655, 647}, {10253, 10294, 10268}, {20506, 20587, 20536},
+        {6416, 6467, 6435}}},
+      {"March C (orig)",
+       {{708, 721, 712}, {11277, 11326, 11296}, {22554, 22651, 22592},
+        {7056, 7117, 7080}}},
+      {"March U",
+       {{836, 845, 838}, {13325, 13358, 13336}, {26650, 26715, 26672},
+        {8336, 8377, 8350}}},
+      {"March LR",
+       {{898, 911, 903}, {14341, 14390, 14364}, {28682, 28779, 28728},
+        {8966, 9027, 8995}}},
+      {"March C+",
+       {{904, 917, 907}, {14365, 14414, 14380}, {28730, 28827, 28760},
+        {8996, 9057, 9015}}},
+      {"March C++",
+       {{1928, -1, 1931}, {30749, -1, 30764}, {61498, -1, 61528},
+        {19236, -1, 19255}}},
+      {"March A",
+       {{964, 973, 966}, {15373, 15406, 15384}, {30746, 30811, 30768},
+        {9616, 9657, 9630}}},
+      {"March B",
+       {{1090, -1, 1094}, {17413, -1, 17432}, {34826, -1, 34864},
+        {10886, -1, 10910}}},
+      {"March A+",
+       {{1224, 1235, 1226}, {19485, 19526, 19496}, {38970, 39051, 38992},
+        {12196, 12247, 12210}}},
+      {"March A++",
+       {{2120, -1, 2122}, {33821, -1, 33832}, {67642, -1, 67664},
+        {21156, -1, 21170}}},
+      {"March SS",
+       {{1412, -1, 1415}, {22541, -1, 22556}, {45082, -1, 45112},
+        {14096, -1, 14115}}},
+      {"March G",
+       {{1478, -1, 1482}, {23573, -1, 23592}, {47146, -1, 47184},
+        {14746, -1, 14770}}},
+  };
+  const auto algorithms = march::all_algorithms();
+  ASSERT_EQ(algorithms.size(), std::size(expected));
+  for (std::size_t a = 0; a < algorithms.size(); ++a) {
+    const auto& alg = algorithms[a];
+    ASSERT_EQ(alg.name(), expected[a].algorithm);
+    for (std::size_t g = 0; g < 4; ++g) {
+      for (std::size_t k = 0; k < 3; ++k) {
+        const long long want = expected[a].cycles[g][k];
+        SCOPED_TRACE(alg.name() + " geometry " + std::to_string(g) +
+                     " kind " + std::to_string(k));
+        if (want < 0) {
+          EXPECT_THROW((void)soc::make_plan_controller(kinds[k], alg,
+                                                       geometries[g]),
+                       mbist_pfsm::CompileError);
+          continue;
+        }
+        const auto controller =
+            soc::make_plan_controller(kinds[k], alg, geometries[g]);
+        EXPECT_EQ(bist::count_cycles(*controller, 1'000'000),
+                  static_cast<std::uint64_t>(want));
+      }
+    }
   }
 }
 

@@ -123,6 +123,25 @@ TEST(HardwiredController, DetectsInjectedFault) {
   EXPECT_EQ(result.failures.front().op.addr, 17u);
 }
 
+// The controller's tabulated next-state function is MooreFsm::step for
+// every state and every input word, across the feature combinations.
+TEST(HardwiredController, NextStateTableEqualsFsmStep) {
+  for (const MemoryGeometry g :
+       {MemoryGeometry{.address_bits = 4},
+        MemoryGeometry{.address_bits = 4, .word_bits = 4},
+        MemoryGeometry{.address_bits = 4, .word_bits = 4, .num_ports = 2}}) {
+    for (const auto& alg : march::all_algorithms()) {
+      const HardwiredController ctrl{alg, {.geometry = g}};
+      const auto& fsm = ctrl.fsm();
+      ASSERT_EQ(fsm.num_inputs(), mbist_hardwired::kNumFsmInputs);
+      for (int state = 0; state < fsm.num_states(); ++state)
+        for (std::uint32_t in = 0; in < 1u << fsm.num_inputs(); ++in)
+          ASSERT_EQ(ctrl.next_state(state, in), fsm.step(state, in))
+              << alg.name() << " state " << state << " inputs " << in;
+    }
+  }
+}
+
 // Observation 3: enhancing the algorithm grows the hardwired controller.
 TEST(HardwiredArea, AreaGrowsWithAlgorithmEnhancement) {
   const auto lib = netlist::TechLibrary::cmos5s();

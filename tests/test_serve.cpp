@@ -13,15 +13,18 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -769,10 +772,11 @@ class TcpServing {
   }
   ~TcpServing() { stop(); }
 
-  /// Connects a client, sends `batch`, half-closes and returns everything
-  /// received up to EOF; the server closes the connection once it has
-  /// answered every request.
-  std::string exchange(const std::string& batch) const {
+  /// Connects a client, sends `batch` in sends of at most `chunk` bytes,
+  /// half-closes and returns everything received up to EOF; the server
+  /// closes the connection once it has answered every request.
+  std::string exchange(const std::string& batch,
+                       std::size_t chunk = std::string::npos) const {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd, 0);
     sockaddr_in addr{};
@@ -782,8 +786,13 @@ class TcpServing {
     EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                         sizeof addr),
               0);
-    EXPECT_EQ(::send(fd, batch.data(), batch.size(), 0),
-              static_cast<ssize_t>(batch.size()));
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    for (std::size_t off = 0; off < batch.size(); off += chunk) {
+      const std::size_t len = std::min(chunk, batch.size() - off);
+      EXPECT_EQ(::send(fd, batch.data() + off, len, 0),
+                static_cast<ssize_t>(len));
+    }
     // Half-close the write side; the server drains in-flight sessions and
     // delivers every event before closing.
     ::shutdown(fd, SHUT_WR);
@@ -835,6 +844,50 @@ TEST(ServeTcp, LoopbackRoundTrip) {
   }
   EXPECT_TRUE(lint_result) << received;
   EXPECT_TRUE(stats_result) << received;
+}
+
+/// Events grouped by request id, each group in arrival order.
+std::map<std::string, std::vector<std::string>> by_id(
+    const std::vector<std::string>& events) {
+  std::map<std::string, std::vector<std::string>> out;
+  for (const std::string& e : events) out[event_field(e, "id")].push_back(e);
+  return out;
+}
+
+// The reader splits lines out of arbitrary recv fragments: a request sent
+// one byte per send, and three requests in one send, give each request the
+// same events post() gives it.
+TEST(ServeTcp, FragmentedAndBatchedLinesMatchPost) {
+  const std::vector<std::string> requests{
+      R"({"id":"a","kind":"lint","input":"March C"})",
+      R"({"id":"b","kind":"lint","input":"MATS+"})",
+      R"({"id":"c","kind":"lint","input":"any(w0); up(r0,w1"})"};
+  serve::Server reference{{.sessions = 2}};
+  std::vector<std::string> expected;
+  for (const std::string& r : requests)
+    for (std::string& e : reference.call(r)) expected.push_back(std::move(e));
+
+  const auto received_events = [](const std::string& received) {
+    std::vector<std::string> lines;
+    std::istringstream in{received};
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    return lines;
+  };
+  TcpServing serving;
+  ASSERT_GT(serving.port(), 0);
+  const auto one_byte =
+      received_events(serving.exchange(requests[0] + "\n", 1));
+  std::vector<std::string> first;
+  for (const std::string& e : expected)
+    if (event_field(e, "id") == "a") first.push_back(e);
+  ASSERT_EQ(first.size(), 2u);  // accepted, result
+  EXPECT_EQ(one_byte, first);
+
+  const auto batched = received_events(serving.exchange(
+      requests[0] + "\n" + requests[1] + "\n" + requests[2] + "\n"));
+  ASSERT_EQ(by_id(expected).size(), requests.size());
+  EXPECT_EQ(batched.size(), expected.size());
+  EXPECT_EQ(by_id(batched), by_id(expected));
 }
 
 // A numeric field of /proc/self/status ("Threads", "VmSize" in kB).

@@ -5,7 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <functional>
+#include <map>
 #include <numeric>
+#include <optional>
+#include <sstream>
 
 #include "soc/chip.h"
 #include "soc/chip_json.h"
@@ -281,30 +286,122 @@ TEST(SocScheduler, ScheduleRespectsEveryConstraint) {
   }
 }
 
+soc::ChipFile example_chip() {
+  std::ifstream in{std::string{PMBIST_SOURCE_DIR} + "/examples/soc_demo.chip"};
+  std::stringstream text;
+  text << in.rdbuf();
+  return soc::parse_chip_text(text.str());
+}
+
+// run() takes its durations from its own first-pass sessions and
+// compute_schedule() from bist::count_cycles; the two must agree exactly,
+// for both demo chips, unconstrained and tight power budgets, folded and
+// immediate retests, and any worker count.
 TEST(SocScheduler, RunMatchesScheduleAndCycleCountsExactly) {
+  const auto file = example_chip();
+  const std::pair<soc::SocDescription, soc::TestPlan> chips[] = {
+      {soc::demo_soc(), soc::demo_plan()}, {file.description, file.plan}};
+  for (const auto& [chip, base_plan] : chips) {
+    double max_weight = 0.0;
+    for (const auto& a : base_plan.assignments())
+      max_weight = std::max(
+          max_weight, base_plan.effective_weight(a, *chip.find(a.memory)));
+    for (const double budget :
+         {0.0, max_weight, 1.5 * max_weight, 3.0 * max_weight}) {
+      auto plan = base_plan;
+      plan.set_power_budget(budget);
+      for (const bool fold : {false, true}) {
+        std::optional<soc::SocResult> serial;
+        for (const int jobs : {1, 4}) {
+          SCOPED_TRACE(chip.name() + " budget " + std::to_string(budget) +
+                       " fold " + std::to_string(fold) + " jobs " +
+                       std::to_string(jobs));
+          const soc::Scheduler scheduler{{.jobs = jobs,
+                                          .fold_retests = fold}};
+          const auto result = scheduler.run(chip, plan);
+          if (serial)
+            EXPECT_EQ(result, *serial);
+          else
+            serial = result;
+
+          auto first_pass = result.schedule;
+          std::erase_if(first_pass, [](const auto& s) { return s.retest; });
+          EXPECT_EQ(first_pass, scheduler.compute_schedule(chip, plan));
+
+          std::uint64_t max_end = 0;
+          for (const auto& s : result.schedule) {
+            max_end = std::max(max_end, s.end_cycle());
+            // The modeled test duration is EXACT: the executed session
+            // took precisely the scheduled cycle count.
+            const auto it = std::find_if(
+                result.instances.begin(), result.instances.end(),
+                [&](const auto& r) { return r.memory == s.memory; });
+            ASSERT_NE(it, result.instances.end());
+            EXPECT_TRUE(it->session.completed());
+            EXPECT_EQ(it->session.cycles, s.test_cycles) << s.memory;
+          }
+          EXPECT_EQ(result.makespan_cycles, max_end);
+          double peak = 0.0;
+          for (const auto& s : result.schedule)
+            peak = std::max(peak, power_at(result.schedule, s.start_cycle));
+          EXPECT_DOUBLE_EQ(result.peak_power, peak);
+        }
+      }
+    }
+  }
+}
+
+// The demo plan's exact controller cycle counts, in assignment order.
+TEST(SocScheduler, DemoDurationsArePinned) {
   const auto chip = soc::demo_soc();
   const auto plan = soc::demo_plan();
-  const soc::Scheduler scheduler{{.jobs = 2}};
-  const auto result = scheduler.run(chip, plan);
-  EXPECT_EQ(result.schedule, scheduler.compute_schedule(chip, plan));
+  std::map<std::string, std::uint64_t> cycles;
+  for (const auto& s : soc::Scheduler{{.jobs = 1}}.compute_schedule(chip, plan))
+    cycles[s.memory] = s.test_cycles;
+  const std::uint64_t expected[] = {10253, 28730, 40973, 3887, 5167,
+                                    7703,  5176,  644,   164};
+  ASSERT_EQ(plan.assignments().size(), std::size(expected));
+  for (std::size_t i = 0; i < std::size(expected); ++i)
+    EXPECT_EQ(cycles[plan.assignments()[i].memory], expected[i]) << i;
+}
 
-  std::uint64_t max_end = 0;
-  for (const auto& s : result.schedule) {
-    max_end = std::max(max_end, s.end_cycle());
-    // The modeled test duration is EXACT: the executed session took
-    // precisely the scheduled cycle count.
-    const auto it = std::find_if(
-        result.instances.begin(), result.instances.end(),
-        [&](const auto& r) { return r.memory == s.memory; });
-    ASSERT_NE(it, result.instances.end());
-    EXPECT_TRUE(it->session.completed());
-    EXPECT_EQ(it->session.cycles, s.test_cycles) << s.memory;
+std::string error_of(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const std::exception& e) {
+    return e.what();
   }
-  EXPECT_EQ(result.makespan_cycles, max_end);
-  double peak = 0.0;
-  for (const auto& s : result.schedule)
-    peak = std::max(peak, power_at(result.schedule, s.start_cycle));
-  EXPECT_DOUBLE_EQ(result.peak_power, peak);
+  return "no error";
+}
+
+// A session stopped by max_cycles fails run() with the text count_cycles
+// gives compute_schedule(): the first assignment in plan order that
+// overruns, whatever the worker count.  A bound equal to the longest run
+// is not an overrun.
+TEST(SocScheduler, RunAndScheduleReportTheSameCycleBound) {
+  const auto chip = soc::demo_soc();
+  const auto plan = soc::demo_plan();
+  const std::string expected = error_of([&] {
+    (void)soc::Scheduler{{.jobs = 1, .max_cycles = 100}}.compute_schedule(
+        chip, plan);
+  });
+  EXPECT_EQ(expected, "controller 'microcode-based' exceeded the cycle bound");
+  for (const int jobs : {1, 4}) {
+    EXPECT_EQ(error_of([&] {
+                (void)soc::Scheduler{{.jobs = jobs, .max_cycles = 100}}.run(
+                    chip, plan);
+              }),
+              expected)
+        << jobs;
+  }
+  EXPECT_EQ(error_of([&] {
+              (void)soc::Scheduler{{.jobs = 4, .max_cycles = 40972}}.run(
+                  chip, plan);
+            }),
+            expected);
+  const auto bounded =
+      soc::Scheduler{{.jobs = 4, .max_cycles = 40973}}.run(chip, plan);
+  EXPECT_EQ(bounded, soc::run_soc(chip, plan, {.jobs = 4}));
 }
 
 TEST(SocScheduler, ResultsAreIdenticalForAnyWorkerCount) {

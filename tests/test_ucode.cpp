@@ -283,6 +283,29 @@ TEST(UcodeController, PassesOnFaultFreeMemoryAndIsRerunnable) {
   EXPECT_EQ(second.cycles, first.cycles);
 }
 
+// The decoder truth table the controller steps through is decode()
+// itself: every one of the 8 flows x 64 condition vectors, with the
+// minterm built here bit by bit rather than through decode_minterm().
+TEST(UcodeIsa, DecoderTableEqualsDecodeExhaustively) {
+  const auto& table = mbist_ucode::kDecoderTable;
+  ASSERT_EQ(table.size(), 512u);
+  for (std::uint32_t f = 0; f < 8; ++f) {
+    for (std::uint32_t c = 0; c < 64; ++c) {
+      const auto flow = static_cast<Flow>(f);
+      const mbist_ucode::DecodeInputs in{.addr_inc = (c & 1) != 0,
+                                         .last_addr = (c & 2) != 0,
+                                         .last_data = (c & 4) != 0,
+                                         .last_port = (c & 8) != 0,
+                                         .repeat_bit = (c & 16) != 0,
+                                         .pause_done = (c & 32) != 0};
+      const std::uint32_t row = f | c << 3;
+      ASSERT_EQ(mbist_ucode::decode_minterm(flow, in), row);
+      EXPECT_EQ(table[row], mbist_ucode::pack(mbist_ucode::decode(flow, in)))
+          << "flow " << f << " conditions " << c;
+    }
+  }
+}
+
 // White-box: the reference register really is loaded and cleared by the
 // two Repeat encounters.
 TEST(UcodeController, RepeatSetsAndClearsReferenceRegister) {
