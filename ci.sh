@@ -16,8 +16,10 @@
 # session suites (test_thread_pool runs with
 # detect_stack_use_after_return=1, so a worker touching the caller's dead
 # frame is reported; the scalar/packed equivalence sweep under ASan pins
-# the packed kernel's lane bookkeeping; test_backend pins the mmap'd
-# hostram path; test_serve the TCP transport's descriptor handling;
+# the packed kernel's lane bookkeeping, including the detected-lane skips
+# of DetectedLanes.*; test_backend pins the mmap'd
+# hostram path; test_serve the TCP transport's descriptor handling and
+# its line bound (a no-newline flood);
 # test_soc and test_field the host-RAM instance memories; test_memsim,
 # test_analysis, test_npsf and test_cross the behavioral simulator's
 # per-word path flags, indexed by raw address; test_ucode, test_hardwired

@@ -155,7 +155,7 @@ MisrSessionResult run_session_misr(Controller& controller,
     if (!op) continue;
     switch (op->kind) {
       case march::MemOp::Kind::Pause:
-        memory.advance_time_ns(op->pause_ns);
+        memory.advance_time_ns(op->pause_ns());
         ++result.session.pauses;
         break;
       case march::MemOp::Kind::Write:

@@ -14,7 +14,7 @@ SessionResult run_session(Controller& controller, memsim::Memory& memory,
     if (!op) continue;
     switch (op->kind) {
       case march::MemOp::Kind::Pause:
-        memory.advance_time_ns(op->pause_ns);
+        memory.advance_time_ns(op->pause_ns());
         ++result.pauses;
         break;
       case march::MemOp::Kind::Write:

@@ -122,7 +122,7 @@ void execute_participant(const Participant& p,
       const auto& op = stream[i];
       switch (op.kind) {
         case march::MemOp::Kind::Pause:
-          view->advance_time_ns(op.pause_ns);
+          view->advance_time_ns(op.pause_ns());
           break;
         case march::MemOp::Kind::Write:
           view->write(op.port, op.addr, op.data);

@@ -21,7 +21,7 @@ std::string fmt_op(const MemOp& op) {
       os << "r @" << op.addr << " expect=" << op.data;
       break;
     case MemOp::Kind::Pause:
-      os << "pause " << op.pause_ns << "ns";
+      os << "pause " << op.pause_ns() << "ns";
       break;
   }
   if (op.port != 0) os << " p" << op.port;

@@ -29,7 +29,7 @@ DetectionRecord replay(std::span<const MemOp> stream, memsim::Memory& memory,
     const MemOp& op = stream[i];
     switch (op.kind) {
       case MemOp::Kind::Pause:
-        memory.advance_time_ns(op.pause_ns);
+        memory.advance_time_ns(op.pause_ns());
         break;
       case MemOp::Kind::Write:
         memory.write(op.port, op.addr, op.data);
@@ -195,7 +195,11 @@ std::vector<PackOps> project(std::span<const MemOp> stream,
 // scalar one.  A lane that has detected is no longer compared, as the
 // scalar replay returns early (lanes are independent), and the pack stops
 // once every lane has detected.  A dense pack's j-th op is op j: no skips.
+// A sparse pack also skips a memory op when every lane whose faults
+// involve its address (`lanes_at`) has detected: for the lanes left it is
+// an op on a fault-free cell, like the ops the projection dropped.
 void replay_pack(std::span<const MemOp> stream, const PackOps& pack,
+                 std::span<const std::uint64_t> lanes_at,
                  memsim::PackedFaultyMemory& memory, std::uint32_t base,
                  int lanes, std::span<DetectionRecord> records) {
   for (int l = 0; l < lanes; ++l)
@@ -207,6 +211,10 @@ void replay_pack(std::span<const MemOp> stream, const PackOps& pack,
   std::uint32_t next = 0;  // the op after the previously replayed one
   for (std::size_t j = 0; j < ops && undetected != 0; ++j) {
     const auto i = pack.dense ? static_cast<std::uint32_t>(j) : pack.kept[j].op;
+    const MemOp& op = stream[i];
+    if (!pack.dense && op.kind != MemOp::Kind::Pause &&
+        (lanes_at[op.addr] & undetected) == 0)
+      continue;
     if (i > next) {
       const std::uint32_t r = pack.kept[j].prev_read;
       memory.skip_fault_free(r != kNone && r >= next
@@ -214,10 +222,9 @@ void replay_pack(std::span<const MemOp> stream, const PackOps& pack,
                                  : std::nullopt);
     }
     next = i + 1;
-    const MemOp& op = stream[i];
     switch (op.kind) {
       case MemOp::Kind::Pause:
-        memory.advance_time_ns(op.pause_ns);
+        memory.advance_time_ns(op.pause_ns());
         break;
       case MemOp::Kind::Write:
         memory.write(op.port, op.addr, op.data);
@@ -290,21 +297,35 @@ CampaignResult run_packed(const CampaignConfig& config,
   std::atomic<int> next{0};
   common::parallel_shards(jobs, jobs, [&](int) {
     memsim::PackedFaultyMemory memory{geometry, config.powerup_seed};
+    // Address -> the lanes of the current sparse pack whose faults involve
+    // it; only the entries in `involved` are ever non-zero.
+    std::vector<std::uint64_t> lanes_at(geometry.num_words(), 0);
+    std::vector<Address> involved;
     bool fresh = true;
     for (int p; (p = next.fetch_add(1)) < packs;) {
       common::throw_if_cancelled(config.cancel);
       if (!fresh) memory.reset(config.powerup_seed);
       fresh = false;
+      const PackOps& pack = projection[static_cast<std::size_t>(p)];
       const int base = p * kLanes;
       const int lanes = std::min(kLanes, count - base);
-      for (int l = 0; l < lanes; ++l)
-        for (const memsim::Fault& fault : faults_of(base + l))
+      for (int l = 0; l < lanes; ++l) {
+        for (const memsim::Fault& fault : faults_of(base + l)) {
           memory.add_fault(l, fault);
-      replay_pack(stream, projection[static_cast<std::size_t>(p)], memory,
+          if (pack.dense) continue;
+          const std::size_t from = involved.size();
+          append_involved(fault, involved);
+          for (std::size_t k = from; k < involved.size(); ++k)
+            lanes_at[involved[k]] |= std::uint64_t{1} << l;
+        }
+      }
+      replay_pack(stream, pack, lanes_at, memory,
                   static_cast<std::uint32_t>(base), lanes,
                   std::span<DetectionRecord>{result.records}.subspan(
                       static_cast<std::size_t>(base),
                       static_cast<std::size_t>(lanes)));
+      for (const Address a : involved) lanes_at[a] = 0;
+      involved.clear();
     }
   });
   return result;

@@ -53,7 +53,7 @@ RunResult run_stream(std::span<const MemOp> stream, memsim::Memory& memory,
     const MemOp& op = stream[i];
     switch (op.kind) {
       case MemOp::Kind::Pause:
-        memory.advance_time_ns(op.pause_ns);
+        memory.advance_time_ns(op.pause_ns());
         break;
       case MemOp::Kind::Write:
         memory.write(op.port, op.addr, op.data);

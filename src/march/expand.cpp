@@ -1,6 +1,8 @@
 #include "march/expand.h"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace pmbist::march {
 
@@ -16,6 +18,15 @@ std::vector<Word> standard_backgrounds(int word_bits) {
     bgs.push_back(bg);
   }
   return bgs;
+}
+
+int checked_num_ports(const MemoryGeometry& geometry) {
+  if (geometry.num_ports < 1 || geometry.num_ports > kMaxPorts)
+    throw std::invalid_argument("num_ports " +
+                                std::to_string(geometry.num_ports) +
+                                " outside 1.." + std::to_string(kMaxPorts) +
+                                ", the ports an op can name");
+  return geometry.num_ports;
 }
 
 namespace {
@@ -47,6 +58,9 @@ void expand_pass_into(const MarchAlgorithm& alg,
 OpStream expand_single_pass(const MarchAlgorithm& alg,
                             const MemoryGeometry& geometry, int port,
                             Word background) {
+  if (port < 0 || port >= checked_num_ports(geometry))
+    throw std::invalid_argument("port " + std::to_string(port) +
+                                " outside the geometry");
   OpStream out;
   expand_pass_into(alg, geometry, port, background, out);
   return out;
@@ -55,9 +69,10 @@ OpStream expand_single_pass(const MarchAlgorithm& alg,
 OpStream expand(const MarchAlgorithm& alg, const MemoryGeometry& geometry) {
   assert(alg.validate().empty());
   const auto backgrounds = standard_backgrounds(geometry.word_bits);
+  const int ports = checked_num_ports(geometry);
   OpStream out;
   out.reserve(expanded_op_count(alg, geometry));
-  for (int port = 0; port < geometry.num_ports; ++port)
+  for (int port = 0; port < ports; ++port)
     for (Word bg : backgrounds) expand_pass_into(alg, geometry, port, bg, out);
   return out;
 }

@@ -27,25 +27,41 @@ using memsim::MemoryGeometry;
 using memsim::Word;
 
 /// One expanded memory operation (or pause) as applied by a controller.
+/// 16 bytes: the campaign kernel scans whole streams, so the layout is
+/// packed by hand (docs/KERNEL.md, "MemOp layout").  A pause keeps its
+/// length in `data`; read it through pause_ns().
 struct MemOp {
-  enum class Kind : std::uint8_t { Write, Read, Pause } kind = Kind::Write;
-  int port = 0;
+  enum class Kind : std::uint8_t { Write, Read, Pause };
+
+  Word data = 0;  ///< written value, expected value, or pause length (ns)
   Address addr = 0;
-  Word data = 0;  ///< written value, or expected value for reads
-  std::uint64_t pause_ns = 0;
+  Kind kind = Kind::Write;
+  std::uint16_t port = 0;
 
   [[nodiscard]] static MemOp write(int port, Address a, Word d) {
-    return {Kind::Write, port, a, d, 0};
+    return {d, a, Kind::Write, static_cast<std::uint16_t>(port)};
   }
   [[nodiscard]] static MemOp read(int port, Address a, Word expected) {
-    return {Kind::Read, port, a, expected, 0};
+    return {expected, a, Kind::Read, static_cast<std::uint16_t>(port)};
   }
   [[nodiscard]] static MemOp pause(std::uint64_t ns) {
-    return {Kind::Pause, 0, 0, 0, ns};
+    return {ns, 0, Kind::Pause, 0};
   }
+
+  [[nodiscard]] std::uint64_t pause_ns() const noexcept { return data; }
 
   friend bool operator==(const MemOp&, const MemOp&) = default;
 };
+static_assert(sizeof(MemOp) == 16);
+
+/// The most ports a MemOp can name (its port field is 16 bits).
+inline constexpr int kMaxPorts = 65535;
+
+/// Returns geometry.num_ports, or throws std::invalid_argument when it is
+/// below 1 or above kMaxPorts (a larger port number would wrap in
+/// MemOp::port).  expand() and the controllers' constructors check their
+/// geometry here.
+[[nodiscard]] int checked_num_ports(const MemoryGeometry& geometry);
 
 using OpStream = std::vector<MemOp>;
 

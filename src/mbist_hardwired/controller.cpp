@@ -12,7 +12,7 @@ HardwiredController::HardwiredController(const march::MarchAlgorithm& alg,
                         HardwiredFeatures::for_geometry(config.geometry))},
       addr_{config.geometry.address_bits},
       data_{config.geometry.word_bits},
-      port_{config.geometry.num_ports} {
+      port_{march::checked_num_ports(config.geometry)} {
   // Retention algorithms carry their pause duration in the elements.
   for (const auto& e : alg.elements())
     if (e.is_pause) config_.pause_ns = e.pause_ns;

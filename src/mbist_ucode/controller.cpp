@@ -6,7 +6,7 @@ MicrocodeController::MicrocodeController(const ControllerConfig& config)
     : config_{config},
       addr_{config.geometry.address_bits},
       data_{config.geometry.word_bits},
-      port_{config.geometry.num_ports} {
+      port_{march::checked_num_ports(config.geometry)} {
   reset();
 }
 

@@ -28,6 +28,7 @@ PackedFaultyMemory::PackedFaultyMemory(MemoryGeometry geometry,
   cells_.resize(bits);
   state_index_.assign(bits, -1);
   addr_flags_.assign(geometry_.num_words(), 0);
+  af_list_.assign(geometry_.num_words(), -1);
   written_.assign(geometry_.num_words(), 0);
   sense_residue_.assign(static_cast<std::size_t>(geometry_.word_bits), 0);
   rising_.resize(static_cast<std::size_t>(geometry_.word_bits));
@@ -63,16 +64,34 @@ void PackedFaultyMemory::reset(std::uint64_t powerup_seed) {
   written_addrs_.clear();
   for (const std::size_t ci : touched_cells_) state_index_[ci] = -1;
   touched_cells_.clear();
-  states_.clear();
+  for (std::size_t i = 0; i < live_states_; ++i) states_[i].clear();
+  live_states_ = 0;
   std::fill(addr_flags_.begin(), addr_flags_.end(), 0);
-  af_.clear();
+  for (std::size_t i = 0; i < live_af_lists_; ++i) {
+    af_list_[af_lists_[i].logical] = -1;
+    af_lists_[i].entries.clear();
+  }
+  live_af_lists_ = 0;
+  af_targets_.clear();
   npsf_.clear();
+  npsf_neighbors_.clear();
   pf_invert_.clear();
   has_pf_ = false;
   std::fill(sense_residue_.begin(), sense_residue_.end(), 0);
   now_ns_ = 0;
   ops_begun_ = false;
   invalidate_last_read();
+}
+
+void PackedFaultyMemory::CellState::clear() noexcept {
+  stuck_mask = stuck_value = tf_rising = tf_falling = 0;
+  stuck_open = read_invert = write_disturb = 0;
+  rdf_mask = rdf_deceptive = drf_mask = 0;
+  drf.clear();
+  cfin.clear();
+  cfid.clear();
+  cfst_aggressor.clear();
+  cfst_victim.clear();
 }
 
 void PackedFaultyMemory::mark_written(Address addr) {
@@ -85,8 +104,8 @@ PackedFaultyMemory::CellState& PackedFaultyMemory::ensure_state(Address addr,
                                                                 int bit) {
   const std::size_t ci = cell_index(addr, bit);
   if (state_index_[ci] < 0) {
-    state_index_[ci] = static_cast<std::int32_t>(states_.size());
-    states_.emplace_back();
+    if (live_states_ == states_.size()) states_.emplace_back();
+    state_index_[ci] = static_cast<std::int32_t>(live_states_++);
     touched_cells_.push_back(ci);
   }
   return states_[static_cast<std::size_t>(state_index_[ci])];
@@ -163,14 +182,25 @@ void PackedFaultyMemory::add_fault(int lane, const Fault& fault) {
           for (Address p : f.physical)
             if (p >= g.num_words())
               throw std::invalid_argument("AF physical address out of range");
-          auto& entries = af_[f.logical];
+          std::int32_t& list = af_list_[f.logical];
+          if (list < 0) {
+            if (live_af_lists_ == af_lists_.size()) af_lists_.emplace_back();
+            af_lists_[live_af_lists_].logical = f.logical;
+            list = static_cast<std::int32_t>(live_af_lists_++);
+          }
+          auto& entries = af_lists_[static_cast<std::size_t>(list)].entries;
+          const AfEntry entry{
+              lane_bit, static_cast<std::uint32_t>(af_targets_.size()),
+              static_cast<std::uint32_t>(f.physical.size())};
+          af_targets_.insert(af_targets_.end(), f.physical.begin(),
+                             f.physical.end());
           bool replaced = false;
           for (auto& e : entries)
             if (e.lane == lane_bit) {  // last wins, like the scalar remap
-              e.physical = f.physical;
+              e = entry;
               replaced = true;
             }
-          if (!replaced) entries.push_back({lane_bit, f.physical});
+          if (!replaced) entries.push_back(entry);
           addr_flags_[f.logical] |= kHasAf;
         } else if constexpr (std::is_same_v<T, StuckOpenFault>) {
           check_bitref(f.cell);
@@ -210,7 +240,11 @@ void PackedFaultyMemory::add_fault(int lane, const Fault& fault) {
             if (n == f.base)
               throw std::invalid_argument("NPSF base among its neighbors");
           }
-          npsf_.push_back({lane_bit, f});
+          npsf_.push_back({lane_bit, f.base, f.pattern, f.forced_value,
+                           static_cast<std::uint32_t>(npsf_neighbors_.size()),
+                           static_cast<std::uint32_t>(f.neighbors.size())});
+          npsf_neighbors_.insert(npsf_neighbors_.end(), f.neighbors.begin(),
+                                 f.neighbors.end());
         } else if constexpr (std::is_same_v<T, PortReadFault>) {
           if (f.port < 0 || f.port >= g.num_ports || f.bit < 0 ||
               f.bit >= g.word_bits)
@@ -432,10 +466,10 @@ std::uint64_t PackedFaultyMemory::read(int port, Address addr, Word expected) {
   const int width = geometry_.word_bits;
   std::uint64_t mismatch = 0;
   std::uint64_t base_mask = ~std::uint64_t{0};
-  const std::vector<AfEntry>* af_entries = nullptr;
+  const std::vector<AfEntry>* remaps = nullptr;
   if ((addr_flags_[addr] & kHasAf) != 0) {
-    af_entries = &af_.find(addr)->second;
-    for (const auto& e : *af_entries) base_mask &= ~e.lane;
+    remaps = &af_entries(addr);
+    for (const auto& e : *remaps) base_mask &= ~e.lane;
   }
 
   // Lanes whose decoder is healthy at this address read the one cell.
@@ -456,15 +490,15 @@ std::uint64_t PackedFaultyMemory::read(int port, Address addr, Word expected) {
   // AF lanes walk their physical cell set: empty set reads the precharged
   // bitlines (constant 0, no side effects); multiple cells wired-AND.
   std::uint64_t reads_nowhere = 0;
-  if (af_entries != nullptr) {
-    for (const auto& e : *af_entries) {
-      if (e.physical.empty()) {
+  if (remaps != nullptr) {
+    for (const auto& e : *remaps) {
+      if (e.count == 0) {
         reads_nowhere |= e.lane;
         if (expected != 0) mismatch |= e.lane;
         continue;
       }
       Word word = geometry_.word_mask();
-      for (const Address pa : e.physical) {
+      for (const Address pa : targets(e)) {
         read_cell(pa, e.lane, b2b);
         Word w = 0;
         for (int bit = 0; bit < width; ++bit)
@@ -504,27 +538,26 @@ void PackedFaultyMemory::write(int port, Address addr, Word data) {
   if ((addr_flags_[addr] & kHasAf) == 0) {
     write_and_stamp(addr, data, ~std::uint64_t{0});
   } else {
-    const auto& entries = af_.find(addr)->second;
+    const auto& entries = af_entries(addr);
     std::uint64_t base_mask = ~std::uint64_t{0};
     for (const auto& e : entries) base_mask &= ~e.lane;
     if (base_mask != 0) write_and_stamp(addr, data, base_mask);
     for (const auto& e : entries)
-      for (const Address pa : e.physical) write_and_stamp(pa, data, e.lane);
+      for (const Address pa : targets(e)) write_and_stamp(pa, data, e.lane);
   }
 
   // Neighborhood-pattern forcing, re-evaluated per lane after every write
   // (including writes to the base itself), like the scalar model.
   for (const auto& n : npsf_) {
     bool match = true;
-    for (std::size_t i = 0; i < n.fault.neighbors.size() && match; ++i) {
-      const bool want = ((n.fault.pattern >> i) & 1u) != 0;
+    for (std::uint32_t i = 0; i < n.count && match; ++i) {
+      const bool want = ((n.pattern >> i) & 1u) != 0;
+      const BitRef& neighbor = npsf_neighbors_[n.first + i];
       const bool held =
-          (cells_[cell_index(n.fault.neighbors[i].addr,
-                             n.fault.neighbors[i].bit)] &
-           n.lane) != 0;
+          (cells_[cell_index(neighbor.addr, neighbor.bit)] & n.lane) != 0;
       if (held != want) match = false;
     }
-    if (match) force_lanes(n.fault.base, n.lane, n.fault.forced_value);
+    if (match) force_lanes(n.base, n.lane, n.forced_value);
   }
 }
 

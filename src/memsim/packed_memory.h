@@ -39,7 +39,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "memsim/fault_model.h"
@@ -59,7 +59,9 @@ class PackedFaultyMemory {
   /// time rewound, contents re-randomized from `powerup_seed` exactly as
   /// the constructor (and FaultyMemory) would.  No allocation in the
   /// steady state — the campaign engine resets one packed memory per
-  /// worker between lane-packs.  Under the seed of the previous reset
+  /// worker between lane-packs: fault entries are cleared in place and
+  /// keep their storage, so injecting allocates only when a pack needs
+  /// more entries than any before it.  Under the seed of the previous reset
   /// only the cells changed since then are restored, from a power-up
   /// image computed once per seed.
   void reset(std::uint64_t powerup_seed);
@@ -142,14 +144,28 @@ class PackedFaultyMemory {
     std::vector<CfstEntry> cfst_aggressor;
     // CFst entries whose *victim* is this cell (write-enforcement scan).
     std::vector<CfstEntry> cfst_victim;
+
+    /// Back to fault-free, keeping the entry lists' storage.
+    void clear() noexcept;
   };
+  // Address lists live in pools (af_targets_, npsf_neighbors_) that reset()
+  // empties without freeing, so entries own no storage.
   struct AfEntry {
     std::uint64_t lane = 0;
-    std::vector<Address> physical;
+    std::uint32_t first = 0;  // physical targets: af_targets_[first, +count)
+    std::uint32_t count = 0;
+  };
+  struct AfList {
+    Address logical = 0;
+    std::vector<AfEntry> entries;
   };
   struct NpsfEntry {
     std::uint64_t lane = 0;
-    NeighborhoodPatternFault fault;
+    BitRef base;
+    std::uint32_t pattern = 0;
+    bool forced_value = false;
+    std::uint32_t first = 0;  // npsf_neighbors_[first, +count)
+    std::uint32_t count = 0;
   };
   // The address of a lane's latest completed read, if nothing has let its
   // weak cells recover since (weak-cell / DRDF tracking).
@@ -189,6 +205,13 @@ class PackedFaultyMemory {
   /// side effects); `sensed_[bit]` holds the lane vector afterwards.
   void read_cell(Address addr, std::uint64_t mask, std::uint64_t b2b);
 
+  [[nodiscard]] const std::vector<AfEntry>& af_entries(Address logical) const {
+    return af_lists_[static_cast<std::size_t>(af_list_[logical])].entries;
+  }
+  [[nodiscard]] std::span<const Address> targets(const AfEntry& e) const {
+    return std::span{af_targets_}.subspan(e.first, e.count);
+  }
+
   void invalidate_last_read();
   void mark_written(Address addr);
 
@@ -202,11 +225,21 @@ class PackedFaultyMemory {
   std::vector<std::uint8_t> written_;
   std::vector<Address> written_addrs_;
   std::vector<std::int32_t> state_index_;  // -1 = no fault touches the cell
+  // states_[0, live_states_) are in use; reset() clears them in place, so
+  // re-injected faults reuse their entry lists' storage.
   std::vector<CellState> states_;
+  std::size_t live_states_ = 0;
   std::vector<std::size_t> touched_cells_;  // indices to clear on reset
   std::vector<std::uint8_t> addr_flags_;
-  std::unordered_map<Address, std::vector<AfEntry>> af_;
+  // Decoder faults: af_list_[addr] indexes the list of lanes remapping
+  // addr (-1 = none); af_lists_[0, live_af_lists_) are in use, and like
+  // states_ keep their storage across resets.
+  std::vector<std::int32_t> af_list_;
+  std::vector<AfList> af_lists_;
+  std::size_t live_af_lists_ = 0;
+  std::vector<Address> af_targets_;
   std::vector<NpsfEntry> npsf_;
+  std::vector<BitRef> npsf_neighbors_;
   std::vector<std::uint64_t> pf_invert_;  // [port * W + bit] lane masks
   bool has_pf_ = false;
   std::vector<std::uint64_t> sense_residue_;  // per column, lane vector

@@ -490,13 +490,22 @@ int Server::serve_tcp(int port, const std::function<void(int)>& ready,
         if (n <= 0) break;
         pending.append(buf, static_cast<std::size_t>(n));
         std::size_t begin = 0;
-        for (std::size_t nl;
-             (nl = pending.find('\n', scanned)) != std::string::npos;
-             scanned = begin = nl + 1) {
+        std::size_t nl;
+        while ((nl = pending.find('\n', scanned)) != std::string::npos &&
+               nl - begin <= kMaxLineBytes) {
           const std::string line = pending.substr(begin, nl - begin);
+          scanned = begin = nl + 1;
           if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
           if (std::string id; post(line, sink, &id))
             posted.push_back(std::move(id));
+        }
+        // What is left is one line: too long if it ends past the limit,
+        // or if, still unterminated, it already holds more.
+        if (nl != std::string::npos || pending.size() - begin > kMaxLineBytes) {
+          emit(sink, event_error("", "request line longer than " +
+                                         std::to_string(kMaxLineBytes) +
+                                         " bytes; closing the connection"));
+          break;
         }
         pending.erase(0, begin);
         scanned = pending.size();

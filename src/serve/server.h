@@ -103,11 +103,16 @@ class Server {
   void run_pipe(std::istream& in, std::ostream& out,
                 const std::string& payload_dir = {});
 
+  /// Longest request line serve_tcp() buffers, newline excluded.
+  static constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
   /// Blocking TCP transport on 127.0.0.1:`port` (0 = ephemeral).  Invokes
   /// `ready` with the bound port once listening.  Returns after shutdown()
   /// (0) or a socket setup failure (-1, message on the `error` out-param
   /// when given).  One reader thread per connection; sessions from all
-  /// connections share the pool.
+  /// connections share the pool.  A line longer than kMaxLineBytes gets
+  /// one `error` event and closes its connection (requests already
+  /// posted on it still finish).
   int serve_tcp(int port, const std::function<void(int bound_port)>& ready = {},
                 std::string* error = nullptr);
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <random>
 #include <string>
 #include <thread>
 
@@ -914,6 +915,138 @@ TEST(Projection, PortAndNeighborhoodPacksTakeTheDenseReplay) {
   expect_kernels_agree(stream, geom, singletons(universe));
   const auto packed = CampaignRunner{{.jobs = 1}}.run(stream, geom, universe);
   EXPECT_TRUE(packed.records[10].detected);
+}
+
+
+// --- detected lanes ----------------------------------------------------
+//
+// A sparse pack also skips an op once every lane involving its address has
+// detected.  Lanes below share addresses but detect at different ops, so
+// the ops at a shared address must keep being replayed for the lanes that
+// have not detected yet, and the state carried across the newly skipped
+// ops (sense residue, last read) must stay exact.
+
+// The six lanes of SharedAddressesDetectAtDifferentOps, in order.
+std::vector<march::FaultGroup> shared_address_lanes() {
+  return {
+      {memsim::StuckAtFault{{10, 0}, true}},
+      {memsim::IdempotentCouplingFault{{20, 0}, {10, 0}, true, true}},
+      {memsim::AddressDecoderFault{30, {10}}},
+      {memsim::DataRetentionFault{{40, 0}, false, 1'000}},
+      {memsim::StuckOpenFault{{50, 0}}},
+      {memsim::StuckAtFault{{60, 0}, false}}};
+}
+
+TEST(DetectedLanes, SharedAddressesDetectAtDifferentOps) {
+  // Address 10 is lane 0's stuck cell, lane 1's coupling victim and lane
+  // 2's decoder target; lanes 0, 1 and 2 detect there at three different
+  // reads.  Lane 5 detects first at 60, so the later w0 r0 at 60 is seen
+  // by no undetected lane: the open cell of lane 4 then senses the 0 that
+  // skipped read left in the residue.  Lane 3 decays over the pause.
+  for (const int word_bits : {1, 8}) {
+    SCOPED_TRACE(word_bits);
+    const memsim::MemoryGeometry geom{.address_bits = 6,
+                                      .word_bits = word_bits, .num_ports = 1};
+    const memsim::Word one = geom.word_mask();
+    auto stream = zero_fill(geom);
+    const std::size_t n = stream.size();
+    stream.push_back(march::MemOp::read(0, 10, 0));     // n+0: lane 0
+    stream.push_back(march::MemOp::write(0, 60, one));
+    stream.push_back(march::MemOp::read(0, 60, one));   // n+2: lane 5
+    stream.push_back(march::MemOp::write(0, 20, one));  // forces 10 in lane 1
+    stream.push_back(march::MemOp::read(0, 10, 0));     // n+4: lane 1
+    stream.push_back(march::MemOp::write(0, 30, one));  // writes 10 in lane 2
+    stream.push_back(march::MemOp::read(0, 10, 0));     // n+6: lane 2
+    stream.push_back(march::MemOp::write(0, 40, one));
+    stream.push_back(march::MemOp::pause(2'000));
+    stream.push_back(march::MemOp::read(0, 40, one));   // n+9: lane 3
+    stream.push_back(march::MemOp::write(0, 50, one));  // open: not stored
+    stream.push_back(march::MemOp::write(0, 60, 0));    // lane 5 only
+    stream.push_back(march::MemOp::read(0, 60, 0));     // lane 5 only
+    stream.push_back(march::MemOp::read(0, 50, one));   // n+13: lane 4
+    // Twelve copies: a full pack and a ragged one, so jobs=4 runs both.
+    std::vector<march::FaultGroup> groups;
+    for (int copy = 0; copy < 12; ++copy)
+      for (const auto& group : shared_address_lanes()) groups.push_back(group);
+    expect_kernels_agree(stream, geom, groups, {1, 4});
+    const auto packed =
+        CampaignRunner{{.jobs = 4}}.run_groups(stream, geom, groups);
+    const std::uint64_t expected[] = {n + 0, n + 4, n + 6,
+                                      n + 9, n + 13, n + 2};
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      EXPECT_TRUE(packed.records[i].detected) << i;
+      EXPECT_EQ(packed.records[i].first_failure_op, expected[i % 6]) << i;
+    }
+  }
+}
+
+// One random fault on the cells of `hot`: every class the sparse packs
+// take, with coupling partners and decoder targets drawn from the same
+// few addresses, so the lanes of a pack overlap.
+memsim::Fault random_shared_fault(std::mt19937& rng,
+                                  const std::vector<memsim::Address>& hot,
+                                  int word_bits) {
+  const auto pick = [&](int n) {
+    return static_cast<int>(rng() % static_cast<unsigned>(n));
+  };
+  const auto addr = [&] {
+    return hot[static_cast<std::size_t>(pick(static_cast<int>(hot.size())))];
+  };
+  const auto cell = [&] {
+    return memsim::BitRef{addr(), pick(word_bits)};
+  };
+  const bool flag = pick(2) == 1;
+  const memsim::BitRef c = cell();
+  memsim::BitRef other = cell();
+  while (other == c) other = cell();
+  switch (pick(11)) {
+    case 0: return memsim::StuckAtFault{c, flag};
+    case 1: return memsim::TransitionFault{c, flag};
+    case 2: return memsim::InversionCouplingFault{c, other, flag};
+    case 3:
+      return memsim::IdempotentCouplingFault{c, other, flag, pick(2) == 1};
+    case 4: return memsim::StateCouplingFault{c, other, flag, pick(2) == 1};
+    case 5: {
+      std::vector<memsim::Address> targets;
+      for (int k = pick(3); k > 0; --k) targets.push_back(addr());
+      return memsim::AddressDecoderFault{addr(), targets};
+    }
+    case 6: return memsim::StuckOpenFault{c};
+    case 7:
+      return memsim::DataRetentionFault{
+          c, flag, pick(2) == 1 ? 50'000'000u : 500'000'000u};
+    case 8: return memsim::IncorrectReadFault{c};
+    case 9: return memsim::WriteDisturbFault{c};
+    default: return memsim::ReadDestructiveFault{c, flag};
+  }
+}
+
+TEST(DetectedLanes, RandomSharedAddressGroupsMatchScalar) {
+  // 200 groups of one or two faults on six addresses of 128 words: four
+  // packs whose lanes detect at different ops of the same cells.  March
+  // C+ and March G pause (DRF), March C++ reads back to back (DRDF).
+  std::mt19937 rng{2024};
+  for (const int word_bits : {1, 8}) {
+    const memsim::MemoryGeometry geom{.address_bits = 7,
+                                      .word_bits = word_bits, .num_ports = 1};
+    std::vector<memsim::Address> hot;
+    for (int k = 0; k < 6; ++k)
+      hot.push_back(static_cast<memsim::Address>(rng() % geom.num_words()));
+    std::vector<march::FaultGroup> groups;
+    for (int i = 0; i < 200; ++i) {
+      march::FaultGroup group{random_shared_fault(rng, hot, word_bits)};
+      if (rng() % 3 == 0)
+        group.push_back(random_shared_fault(rng, hot, word_bits));
+      groups.push_back(group);
+    }
+    for (const char* name : {"MATS+", "March C", "March C+", "March C++",
+                             "March SS", "March G"}) {
+      SCOPED_TRACE(std::string{name} + " word_bits=" +
+                   std::to_string(word_bits));
+      expect_kernels_agree(march::expand(march::by_name(name), geom), geom,
+                           groups, {1, 4});
+    }
+  }
 }
 
 }  // namespace

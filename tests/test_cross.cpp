@@ -46,6 +46,23 @@ TEST(Cross, AllThreeControllersEmitIdenticalStreams) {
   }
 }
 
+TEST(Cross, PortCountBeyondTheOpFieldIsRejectedByEveryController) {
+  // A controller's ops carry a 16-bit port: a geometry with more ports is
+  // an error at construction, not a port counter that wraps.  So is one
+  // with no ports, whose port loop would never end.
+  const auto alg = march::mats();
+  for (const int ports : {march::kMaxPorts + 1, 0}) {
+    SCOPED_TRACE(ports);
+    const MemoryGeometry g{.address_bits = 0, .num_ports = ports};
+    EXPECT_THROW(mbist_ucode::MicrocodeController{{.geometry = g}},
+                 std::invalid_argument);
+    EXPECT_THROW(mbist_pfsm::PfsmController{{.geometry = g}},
+                 std::invalid_argument);
+    EXPECT_THROW((mbist_hardwired::HardwiredController{alg, {.geometry = g}}),
+                 std::invalid_argument);
+  }
+}
+
 TEST(Cross, IdenticalFaultVerdicts) {
   const auto alg = march::march_c();
   const std::vector<memsim::Fault> faults{

@@ -155,4 +155,35 @@ TEST(Transparent, StreamXorsSeed) {
                std::invalid_argument);
 }
 
+TEST(Transparent, PausesKeepTheirLength) {
+  // A pause carries its length in MemOp::data, the field the transform
+  // XORs with the seed: every pause must come through unchanged, in the
+  // plain stream and with the restore pass.  The seeds set every bit a
+  // masked XOR could touch.  MATS with a retention tail ends on d=1, so
+  // only its stream gains the restore writes.
+  const MemoryGeometry g{.address_bits = 2, .word_bits = 2};
+  const std::vector<memsim::Word> seed{0b11, 0b01, 0b10, 0b11};
+  for (const auto& alg :
+       {march::with_retention(march::march_c(), 7'000, "C ret"),
+        march::with_retention(march::mats(), 9'000'000'001, "MATS ret")}) {
+    SCOPED_TRACE(alg.name());
+    const auto plain = march::expand(alg, g);
+    for (const auto& trans :
+         {diag::transparent_stream(alg, g, seed),
+          diag::transparent_stream_with_restore(alg, g, seed)}) {
+      ASSERT_GE(trans.size(), plain.size());
+      int pauses = 0;
+      for (std::size_t i = 0; i < plain.size(); ++i) {
+        if (plain[i].kind != march::MemOp::Kind::Pause) continue;
+        ++pauses;
+        EXPECT_EQ(trans[i], plain[i]) << "op " << i;
+        EXPECT_EQ(trans[i].pause_ns(), alg.name() == "C ret"
+                                           ? 7'000u
+                                           : 9'000'000'001u);
+      }
+      EXPECT_EQ(pauses, 4);  // two per background
+    }
+  }
+}
+
 }  // namespace

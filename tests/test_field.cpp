@@ -232,7 +232,7 @@ Reference reference_pass(const march::MarchAlgorithm& alg,
     const auto& op = stream[i];
     switch (op.kind) {
       case march::MemOp::Kind::Pause:
-        memory.advance_time_ns(op.pause_ns);
+        memory.advance_time_ns(op.pause_ns());
         break;
       case march::MemOp::Kind::Write:
         memory.write(op.port, op.addr, op.data);

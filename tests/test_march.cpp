@@ -214,12 +214,32 @@ TEST(Expand, PausePlacement) {
   EXPECT_EQ(pause_positions[0], 40u);
   // Second pause after the 3-op retention element (12 more ops).
   EXPECT_EQ(pause_positions[1], 40u + 1 + 12);
-  EXPECT_EQ(stream[pause_positions[0]].pause_ns, kDefaultPauseNs);
+  EXPECT_EQ(stream[pause_positions[0]].pause_ns(), kDefaultPauseNs);
 }
 
 TEST(Expand, SinglePassMatchesFullExpansionForSimpleGeometry) {
   const MemoryGeometry g{.address_bits = 3};
   EXPECT_EQ(expand(march_y(), g), expand_single_pass(march_y(), g, 0, 0));
+}
+
+TEST(Expand, PortCountBeyondTheOpFieldIsAnError) {
+  // MemOp::port is 16 bits: 65535 ports still expand, with the last op on
+  // port 65534; one more is rejected rather than wrapped to port 0.  No
+  // ports at all is an error too.
+  const MemoryGeometry widest{.address_bits = 0, .num_ports = kMaxPorts};
+  const auto stream = expand(mats(), widest);
+  ASSERT_FALSE(stream.empty());
+  EXPECT_EQ(stream.back().port, kMaxPorts - 1);
+  const MemoryGeometry wider{.address_bits = 0, .num_ports = kMaxPorts + 1};
+  EXPECT_THROW((void)expand(mats(), wider), std::invalid_argument);
+  EXPECT_THROW((void)expand_single_pass(mats(), wider, 0, 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)expand_single_pass(mats(), widest, kMaxPorts, 0),
+               std::invalid_argument);
+  for (const int ports : {0, -1}) {
+    const MemoryGeometry none{.address_bits = 0, .num_ports = ports};
+    EXPECT_THROW((void)expand(mats(), none), std::invalid_argument) << ports;
+  }
 }
 
 }  // namespace

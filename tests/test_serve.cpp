@@ -777,6 +777,20 @@ class TcpServing {
   /// closes the connection once it has answered every request.
   std::string exchange(const std::string& batch,
                        std::size_t chunk = std::string::npos) const {
+    const int fd = connect();
+    for (std::size_t off = 0; off < batch.size(); off += chunk) {
+      const std::size_t len = std::min(chunk, batch.size() - off);
+      EXPECT_EQ(::send(fd, batch.data() + off, len, 0),
+                static_cast<ssize_t>(len));
+    }
+    // Half-close the write side; the server drains in-flight sessions and
+    // delivers every event before closing.
+    ::shutdown(fd, SHUT_WR);
+    return receive_all(fd);
+  }
+
+  /// A connected client socket (TCP_NODELAY).
+  [[nodiscard]] int connect() const {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd, 0);
     sockaddr_in addr{};
@@ -788,14 +802,11 @@ class TcpServing {
               0);
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    for (std::size_t off = 0; off < batch.size(); off += chunk) {
-      const std::size_t len = std::min(chunk, batch.size() - off);
-      EXPECT_EQ(::send(fd, batch.data() + off, len, 0),
-                static_cast<ssize_t>(len));
-    }
-    // Half-close the write side; the server drains in-flight sessions and
-    // delivers every event before closing.
-    ::shutdown(fd, SHUT_WR);
+    return fd;
+  }
+
+  /// Everything received on `fd` until the server closes it; closes `fd`.
+  static std::string receive_all(int fd) {
     std::string received;
     char buf[4096];
     ssize_t n;
@@ -945,6 +956,51 @@ TEST(ServeTcp, ShutdownLeavesReusedDescriptorsAlone) {
   }
   ::close(pair[0]);
   ::close(pair[1]);
+}
+
+TEST(ServeTcp, OverlongLineGetsOneErrorAndClosesItsConnection) {
+  // A client that never sends a newline may not grow the server's line
+  // buffer without bound: past Server::kMaxLineBytes it gets one error
+  // event and its connection is closed.  The request it sent before the
+  // flood still completes, and other connections are served meanwhile.
+  TcpServing serving;
+  ASSERT_GT(serving.port(), 0);
+  const int fd = serving.connect();
+  const std::string first = R"({"id":"before","kind":"stats"})" "\n";
+  ASSERT_EQ(::send(fd, first.data(), first.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(first.size()));
+  const std::string chunk(64 * 1024, 'x');
+  std::size_t sent = 0;
+  while (sent <= serve::Server::kMaxLineBytes + chunk.size()) {
+    const ssize_t n = ::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+    if (n <= 0) break;  // the server has closed the connection
+    sent += static_cast<std::size_t>(n);
+  }
+  EXPECT_GT(sent, serve::Server::kMaxLineBytes);
+
+  const std::string other =
+      serving.exchange(R"({"id":"other","kind":"stats"})" "\n");
+  EXPECT_NE(other.find(R"("event":"result","id":"other")"), std::string::npos)
+      << other;
+
+  // Half-close, so a server that kept buffering ends with EOF, not a hang.
+  ::shutdown(fd, SHUT_WR);
+  std::vector<std::string> lines;
+  std::istringstream in{TcpServing::receive_all(fd)};
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  int errors = 0;
+  bool before = false;
+  for (const std::string& line : lines) {
+    if (event_field(line, "event") == "error") {
+      ++errors;
+      EXPECT_NE(line.find("request line longer than"), std::string::npos)
+          << line;
+    }
+    before = before || (event_field(line, "event") == "result" &&
+                        event_field(line, "id") == "before");
+  }
+  EXPECT_EQ(errors, 1);
+  EXPECT_TRUE(before);
 }
 
 }  // namespace
