@@ -10,7 +10,12 @@
 # test_thread_pool covers parallel_shards' completion handshake,
 # test_campaign the packed kernel under threads, test_serve the session
 # pool and shared caches, test_backend the sharded memtest engine) for
-# data races, an Address+UndefinedBehaviorSanitizer build of
+# data races, with the row-call tests repeated 20 times because their
+# progress callbacks run on campaign worker threads
+# (test_campaign's RowCampaign.*, test_serve's
+# ServeEquivalence.RaggedParallelCampaignKeepsProgressInClassOrder and
+# ServeEquivalence.CampaignPayloadMatchesEngineOutput), an
+# Address+UndefinedBehaviorSanitizer build of
 # the thread pool, linter, controller, fuzz, campaign, backend, serve, soc,
 # field, memsim, analysis, NPSF, cross-architecture, hardwired and BIST
 # session suites (test_thread_pool runs with
@@ -155,6 +160,11 @@ cmake --build build-tsan -j "${JOBS}" --target test_campaign --target test_soc \
 ./build-tsan/tests/test_field
 ./build-tsan/tests/test_serve
 ./build-tsan/tests/test_backend
+# Row calls report progress from campaign workers: repeat them.
+./build-tsan/tests/test_campaign --gtest_filter='RowCampaign.*' --gtest_repeat=20
+./build-tsan/tests/test_serve \
+  --gtest_filter='ServeEquivalence.Ragged*:ServeEquivalence.CampaignPayload*' \
+  --gtest_repeat=20
 
 echo "== asan+ubsan: thread pool, linter, controllers, fuzz, packed-kernel equivalence, serve, soc, field =="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPMBIST_WERROR=ON \

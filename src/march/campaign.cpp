@@ -88,20 +88,39 @@ struct PackOps {
   std::vector<KeptOp> kept;
 };
 
-// Projects the stream onto every lane-pack of one run()/run_groups() call
-// in one serial pass.  A sparse pack keeps every pause and every op at an
-// address its faults involve.  Dense: a pack with a PF or NPSF fault or
-// an address outside the memory (add_fault() rejects it), and every pack
-// if a read fails in a fault-free memory (a skipped op must not fail).
+// One shard of a call: `lanes` consecutive instances of one universe from
+// `base` on (counted within the universe).  A lane-pack holds up to 64, a
+// scalar shard one.  Shards never straddle universes, so a dense universe
+// leaves its neighbours sparse and each universe's records are a slice.
+struct Shard {
+  std::uint32_t universe;
+  std::uint32_t base;
+  int lanes;
+};
+
+std::vector<Shard> make_shards(std::span<const int> counts, int width) {
+  std::vector<Shard> shards;
+  for (std::size_t u = 0; u < counts.size(); ++u)
+    for (int base = 0; base < counts[u]; base += width)
+      shards.push_back({static_cast<std::uint32_t>(u),
+                        static_cast<std::uint32_t>(base),
+                        std::min(width, counts[u] - base)});
+  return shards;
+}
+
+// Projects the stream onto every lane-pack of one call in one serial
+// pass.  A sparse pack keeps every pause and every op at an address its
+// faults involve.  Dense: a pack with a PF or NPSF fault or an address
+// outside the memory (add_fault() rejects it), and every pack if a read
+// fails in a fault-free memory (a skipped op must not fail).
 template <typename FaultsOf>
 std::vector<PackOps> project(std::span<const MemOp> stream,
                              const MemoryGeometry& geometry,
-                             std::uint64_t seed, int count,
+                             std::uint64_t seed, std::span<const Shard> shards,
                              const FaultsOf& faults_of) {
-  constexpr int kLanes = memsim::PackedFaultyMemory::kLanes;
   if (stream.size() >= kNone)
     throw std::length_error("op stream too long for the campaign projection");
-  const auto discard = static_cast<std::uint32_t>(count + kLanes - 1) / kLanes;
+  const auto discard = static_cast<std::uint32_t>(shards.size());
   std::vector<PackOps> packs(discard);
   // Lists fill through cursors, sized as if ops spread evenly over the
   // addresses and doubled when full.  Ops no pack keeps go to sink
@@ -139,9 +158,9 @@ std::vector<PackOps> project(std::span<const MemOp> stream,
   const auto outside = [&](Address a) { return a >= words; };
   for (std::uint32_t p = 0; p < discard; ++p) {
     addresses.clear();
-    const int base = static_cast<int>(p) * kLanes;
-    for (int i = base; i < std::min(count, base + kLanes); ++i)
-      for (const memsim::Fault& fault : faults_of(i))
+    const Shard& shard = shards[p];
+    for (std::uint32_t i = shard.base; i < shard.base + shard.lanes; ++i)
+      for (const memsim::Fault& fault : faults_of(shard.universe, i))
         packs[p].dense = packs[p].dense || !append_involved(fault, addresses);
     if (packs[p].dense || std::ranges::any_of(addresses, outside)) {
       packs[p].dense = true;
@@ -244,19 +263,62 @@ void replay_pack(std::span<const MemOp> stream, const PackOps& pack,
   }
 }
 
-// Shared scalar universe driver: one thread-local memory per worker, reset
-// between instances; each instance writes only its own record slot, so
-// the merged result is ordered by fault index and invariant under jobs.
+// Reports universes complete in universe order.  finish(u) counts down
+// one finished shard of universe u; a universe is reported once its last
+// shard has finished and every universe before it has been reported.
+// The callback runs under the lock, so it sees D = 1, 2, ... in order at
+// any jobs: called after unlocking, two reports could overtake each
+// other.  Without a callback it does nothing.
+class UniverseProgress {
+ public:
+  using Callback = std::function<void(int done, int total)>;
+
+  UniverseProgress(const Callback& callback, std::size_t universes,
+                   std::span<const Shard> shards)
+      : callback_{callback} {
+    if (!callback_) return;
+    left_.resize(universes);
+    for (const Shard& shard : shards) ++left_[shard.universe];
+    report();  // the leading empty universes
+  }
+
+  void finish(std::uint32_t universe) {
+    if (!callback_) return;
+    std::lock_guard lock{mu_};
+    --left_[universe];
+    report();
+  }
+
+ private:
+  void report() {
+    while (reported_ < left_.size() && left_[reported_] == 0)
+      callback_(static_cast<int>(++reported_), static_cast<int>(left_.size()));
+  }
+
+  const Callback& callback_;
+  std::mutex mu_;
+  std::vector<int> left_;  ///< unfinished shards per universe
+  std::size_t reported_ = 0;
+};
+
+// Where a shard's records go: its universe's slots from its base on.
+std::span<DetectionRecord> records_of(std::vector<CampaignResult>& results,
+                                      const Shard& shard) {
+  return std::span<DetectionRecord>{results[shard.universe].records}.subspan(
+      shard.base, static_cast<std::size_t>(shard.lanes));
+}
+
+// Scalar driver: one thread-local memory per worker, reset between
+// instances; each instance writes only its own record slot, so the merged
+// result is ordered by fault index and invariant under jobs.
 // Cancellation is polled before each shard claim, so a cancelled campaign
 // quiesces within one instance per worker.
 template <typename FaultsOf>
-CampaignResult run_scalar(const CampaignConfig& config,
-                          std::span<const MemOp> stream,
-                          const MemoryGeometry& geometry, int count,
-                          const FaultsOf& faults_of) {
-  CampaignResult result;
-  result.records.resize(static_cast<std::size_t>(count));
-
+void run_scalar(const CampaignConfig& config, std::span<const MemOp> stream,
+                const MemoryGeometry& geometry, std::span<const Shard> shards,
+                const FaultsOf& faults_of, std::vector<CampaignResult>& results,
+                UniverseProgress& progress) {
+  const int count = static_cast<int>(shards.size());
   const int jobs = std::min(common::resolve_jobs(config.jobs), count);
 
   std::atomic<int> next{0};
@@ -267,32 +329,29 @@ CampaignResult run_scalar(const CampaignConfig& config,
       common::throw_if_cancelled(config.cancel);
       if (!fresh) memory.reset(config.powerup_seed);
       fresh = false;
-      for (const memsim::Fault& fault : faults_of(i)) memory.add_fault(fault);
-      result.records[static_cast<std::size_t>(i)] =
-          replay(stream, memory, static_cast<std::uint32_t>(i));
+      const Shard& shard = shards[static_cast<std::size_t>(i)];
+      for (const memsim::Fault& fault : faults_of(shard.universe, shard.base))
+        memory.add_fault(fault);
+      records_of(results, shard)[0] = replay(stream, memory, shard.base);
+      progress.finish(shard.universe);
     }
   });
-  return result;
 }
 
-// Packed universe driver: the shard unit is a lane-pack of up to 64 fault
+// Packed driver: the shard unit is a lane-pack of up to 64 fault
 // instances, so each task replays (the pack's projection of) the stream
 // once for 64 simulations.  Record slots are still disjoint and indexed by
 // fault index, so the result is invariant under jobs AND identical to the
 // scalar driver.
 template <typename FaultsOf>
-CampaignResult run_packed(const CampaignConfig& config,
-                          std::span<const MemOp> stream,
-                          const MemoryGeometry& geometry, int count,
-                          const FaultsOf& faults_of) {
-  CampaignResult result;
-  result.records.resize(static_cast<std::size_t>(count));
-
-  constexpr int kLanes = memsim::PackedFaultyMemory::kLanes;
-  const int packs = (count + kLanes - 1) / kLanes;
+void run_packed(const CampaignConfig& config, std::span<const MemOp> stream,
+                const MemoryGeometry& geometry, std::span<const Shard> shards,
+                const FaultsOf& faults_of, std::vector<CampaignResult>& results,
+                UniverseProgress& progress) {
+  const int packs = static_cast<int>(shards.size());
   const int jobs = std::min(common::resolve_jobs(config.jobs), packs);
   const std::vector<PackOps> projection =
-      project(stream, geometry, config.powerup_seed, count, faults_of);
+      project(stream, geometry, config.powerup_seed, shards, faults_of);
 
   std::atomic<int> next{0};
   common::parallel_shards(jobs, jobs, [&](int) {
@@ -307,10 +366,11 @@ CampaignResult run_packed(const CampaignConfig& config,
       if (!fresh) memory.reset(config.powerup_seed);
       fresh = false;
       const PackOps& pack = projection[static_cast<std::size_t>(p)];
-      const int base = p * kLanes;
-      const int lanes = std::min(kLanes, count - base);
-      for (int l = 0; l < lanes; ++l) {
-        for (const memsim::Fault& fault : faults_of(base + l)) {
+      const Shard& shard = shards[static_cast<std::size_t>(p)];
+      for (int l = 0; l < shard.lanes; ++l) {
+        for (const memsim::Fault& fault :
+             faults_of(shard.universe,
+                       shard.base + static_cast<std::uint32_t>(l))) {
           memory.add_fault(l, fault);
           if (pack.dense) continue;
           const std::size_t from = involved.size();
@@ -319,29 +379,37 @@ CampaignResult run_packed(const CampaignConfig& config,
             lanes_at[involved[k]] |= std::uint64_t{1} << l;
         }
       }
-      replay_pack(stream, pack, lanes_at, memory,
-                  static_cast<std::uint32_t>(base), lanes,
-                  std::span<DetectionRecord>{result.records}.subspan(
-                      static_cast<std::size_t>(base),
-                      static_cast<std::size_t>(lanes)));
+      replay_pack(stream, pack, lanes_at, memory, shard.base, shard.lanes,
+                  records_of(results, shard));
       for (const Address a : involved) lanes_at[a] = 0;
       involved.clear();
+      progress.finish(shard.universe);
     }
   });
-  return result;
 }
 
-// Kernel dispatch shared by run() / run_groups(): `faults_of(i)` is the
-// fault group of instance i.
+// Kernel dispatch shared by run() / run_groups() / run_row(): `counts[u]`
+// is the size of universe u and `faults_of(u, i)` the fault group of its
+// instance i.
 template <typename FaultsOf>
-CampaignResult run_universe(const CampaignConfig& config,
-                            std::span<const MemOp> stream,
-                            const MemoryGeometry& geometry, int count,
-                            const FaultsOf& faults_of) {
-  if (count == 0) return CampaignResult{};
-  if (resolve_kernel(config.kernel) == CampaignKernel::Scalar)
-    return run_scalar(config, stream, geometry, count, faults_of);
-  return run_packed(config, stream, geometry, count, faults_of);
+std::vector<CampaignResult> run_universes(
+    const CampaignConfig& config, std::span<const MemOp> stream,
+    const MemoryGeometry& geometry, std::span<const int> counts,
+    const FaultsOf& faults_of,
+    const UniverseProgress::Callback& callback = {}) {
+  std::vector<CampaignResult> results(counts.size());
+  for (std::size_t u = 0; u < counts.size(); ++u)
+    results[u].records.resize(static_cast<std::size_t>(counts[u]));
+  const bool scalar = resolve_kernel(config.kernel) == CampaignKernel::Scalar;
+  const std::vector<Shard> shards =
+      make_shards(counts, scalar ? 1 : memsim::PackedFaultyMemory::kLanes);
+  UniverseProgress progress{callback, counts.size(), shards};
+  if (shards.empty()) return results;
+  if (scalar)
+    run_scalar(config, stream, geometry, shards, faults_of, results, progress);
+  else
+    run_packed(config, stream, geometry, shards, faults_of, results, progress);
+  return results;
 }
 
 }  // namespace
@@ -356,20 +424,41 @@ CampaignResult CampaignRunner::run(std::span<const MemOp> stream,
                                    const MemoryGeometry& geometry,
                                    std::span<const memsim::Fault> universe)
     const {
-  return run_universe(config_, stream, geometry,
-                      static_cast<int>(universe.size()), [&](int i) {
-                        return universe.subspan(static_cast<std::size_t>(i), 1);
-                      });
+  const int count = static_cast<int>(universe.size());
+  return std::move(
+      run_universes(config_, stream, geometry, {&count, 1},
+                    [&](std::uint32_t, std::uint32_t i) {
+                      return universe.subspan(i, 1);
+                    })
+          .front());
 }
 
 CampaignResult CampaignRunner::run_groups(
     std::span<const MemOp> stream, const MemoryGeometry& geometry,
     std::span<const FaultGroup> universe) const {
-  return run_universe(config_, stream, geometry,
-                      static_cast<int>(universe.size()), [&](int i) {
-                        return std::span<const memsim::Fault>{
-                            universe[static_cast<std::size_t>(i)]};
-                      });
+  const int count = static_cast<int>(universe.size());
+  return std::move(
+      run_universes(config_, stream, geometry, {&count, 1},
+                    [&](std::uint32_t, std::uint32_t i) {
+                      return std::span<const memsim::Fault>{universe[i]};
+                    })
+          .front());
+}
+
+std::vector<CampaignResult> CampaignRunner::run_row(
+    std::span<const MemOp> stream, const MemoryGeometry& geometry,
+    std::span<const std::vector<memsim::Fault>> universes,
+    const std::function<void(int done, int total)>& progress) const {
+  std::vector<int> counts;
+  counts.reserve(universes.size());
+  for (const auto& universe : universes)
+    counts.push_back(static_cast<int>(universe.size()));
+  return run_universes(
+      config_, stream, geometry, counts,
+      [&](std::uint32_t u, std::uint32_t i) {
+        return std::span<const memsim::Fault>{universes[u]}.subspan(i, 1);
+      },
+      progress);
 }
 
 struct StreamCache::Impl {

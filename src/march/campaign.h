@@ -21,6 +21,10 @@
 //     a port or NPSF fault, and all packs of a stream with a read that
 //     fails in a fault-free memory, replay every op (docs/KERNEL.md,
 //     "Sparse projection");
+//   * a row (run_row: one stream, one universe per fault class) is one
+//     call: one projection pass, one fault-free check and one memory per
+//     worker serve every universe, and no lane-pack straddles two
+//     universes (docs/KERNEL.md, "Row calls");
 //   * the fault universe is sharded dynamically across workers — by
 //     lane-pack for the packed kernel, by instance for the scalar one;
 //     each worker owns one thread-local memory that is cheaply reset()
@@ -41,6 +45,7 @@
 // kernel.
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <span>
 
@@ -109,6 +114,18 @@ class CampaignRunner {
   [[nodiscard]] CampaignResult run_groups(
       std::span<const MemOp> stream, const MemoryGeometry& geometry,
       std::span<const FaultGroup> universe) const;
+
+  /// A row of single-fault universes against one stream (an algorithm's
+  /// coverage row, one universe per fault class).  Returns one result per
+  /// universe, each equal to what run() returns for that universe alone:
+  /// `fault_index` counts within its universe.  `progress`, when set, is
+  /// called as (D, universes.size()) once the first D universes are
+  /// complete, for D = 1, 2, ... in order at any jobs, one call at a
+  /// time, possibly from worker threads.
+  [[nodiscard]] std::vector<CampaignResult> run_row(
+      std::span<const MemOp> stream, const MemoryGeometry& geometry,
+      std::span<const std::vector<memsim::Fault>> universes,
+      const std::function<void(int done, int total)>& progress = {}) const;
 
   [[nodiscard]] const CampaignConfig& config() const noexcept {
     return config_;

@@ -44,6 +44,15 @@ BitRef random_bit(Rng& rng, const MemoryGeometry& g) {
 // DRF hold time is half the default pause so retention variants see decay.
 constexpr std::uint64_t kDrfHoldNs = kDefaultPauseNs / 2;
 
+// The reference expansion, through `cache` when there is one.
+std::shared_ptr<const OpStream> stream_for(const MarchAlgorithm& alg,
+                                           const MemoryGeometry& geometry,
+                                           StreamCache* cache) {
+  return cache != nullptr
+             ? cache->get(alg, geometry)
+             : std::make_shared<const OpStream>(expand(alg, geometry));
+}
+
 }  // namespace
 
 RunResult run_stream(std::span<const MemOp> stream, memsim::Memory& memory,
@@ -282,10 +291,7 @@ CoverageCell evaluate_with_backgrounds(const MarchAlgorithm& alg,
 CoverageCell evaluate_linked_coverage(const MarchAlgorithm& alg,
                                       const MemoryGeometry& geometry,
                                       const CoverageOptions& opts) {
-  const std::shared_ptr<const OpStream> stream =
-      opts.cache != nullptr
-          ? opts.cache->get(alg, geometry)
-          : std::make_shared<const OpStream>(expand(alg, geometry));
+  const auto stream = stream_for(alg, geometry, opts.cache);
   const auto universe = make_linked_cfid_universe(
       geometry, opts.seed, opts.max_instances_per_class);
   std::vector<FaultGroup> groups;
@@ -318,19 +324,33 @@ std::vector<CoverageRow> coverage_matrix(
     std::span<const MarchAlgorithm> algorithms,
     std::span<const FaultClass> classes, const MemoryGeometry& geometry,
     const CoverageOptions& opts) {
-  // Every class of one row replays the same expansion, so a matrix without
-  // a caller-supplied cache still wants one for its own lifetime.
-  StreamCache local_cache;
-  CoverageOptions effective = opts;
-  if (effective.cache == nullptr) effective.cache = &local_cache;
+  // The universes depend on the class alone, so every row shares them.
+  std::vector<std::vector<Fault>> universes;
+  universes.reserve(classes.size());
+  for (FaultClass cls : classes)
+    universes.push_back(make_fault_universe(cls, geometry, opts.seed,
+                                            opts.max_instances_per_class));
+  const CampaignRunner runner{{.jobs = opts.jobs,
+                               .powerup_seed = opts.seed,
+                               .kernel = opts.kernel,
+                               .cancel = opts.cancel}};
+  const int total = static_cast<int>(algorithms.size() * classes.size());
 
   std::vector<CoverageRow> rows;
   rows.reserve(algorithms.size());
   for (const auto& alg : algorithms) {
+    const auto stream = stream_for(alg, geometry, opts.cache);
+    const int before = static_cast<int>(rows.size() * classes.size());
+    std::function<void(int, int)> progress;
+    if (opts.progress)
+      progress = [&](int done, int) { opts.progress(before + done, total); };
+    const std::vector<CampaignResult> results =
+        runner.run_row(*stream, geometry, universes, progress);
     CoverageRow row;
     row.algorithm = alg.name();
-    for (FaultClass cls : classes)
-      row.cells[cls] = evaluate_coverage(alg, cls, geometry, effective);
+    for (std::size_t c = 0; c < classes.size(); ++c)
+      row.cells[classes[c]] =
+          CoverageCell{results[c].detected(), results[c].total()};
     rows.push_back(std::move(row));
   }
   return rows;

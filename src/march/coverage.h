@@ -14,6 +14,7 @@
 // identical to the serial path for any worker count.
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <span>
 
@@ -95,11 +96,15 @@ struct CoverageOptions {
   /// for either kernel.
   CampaignKernel kernel = CampaignKernel::Auto;
   /// Optional expansion cache shared across evaluations; nullptr expands
-  /// uncached (coverage_matrix supplies a local cache in that case so the
-  /// per-class evaluations of one matrix still reuse each expansion).
+  /// uncached.
   StreamCache* cache = nullptr;
   /// Optional cooperative cancellation flag — see campaign.h.
   const std::atomic<bool>* cancel = nullptr;
+  /// Optional coverage_matrix progress callback, invoked as (done, total)
+  /// cell counts: the first `done` cells in row-major order are complete.
+  /// Called in that order at any jobs, one call at a time, possibly from
+  /// campaign worker threads.
+  std::function<void(int done, int total)> progress = nullptr;
 };
 
 /// Evaluates detection of `alg` against one fault class.
@@ -122,7 +127,8 @@ struct CoverageOptions {
     std::span<const memsim::Fault> faults, int num_backgrounds,
     std::uint64_t powerup_seed = 1, int jobs = 0);
 
-/// Full matrix over algorithms x fault classes.
+/// Full matrix over algorithms x fault classes.  Each row is one
+/// CampaignRunner::run_row call over the classes' universes.
 [[nodiscard]] std::vector<CoverageRow> coverage_matrix(
     std::span<const MarchAlgorithm> algorithms,
     std::span<const memsim::FaultClass> classes,

@@ -221,30 +221,22 @@ Server::ExecResult Server::exec_campaign(const Request& req, Session& session,
       classes.push_back(class_by_name(name));
   }
 
-  const int total = static_cast<int>(classes.size());
-  session.total.store(total, std::memory_order_relaxed);
-
-  // Mirrors march::coverage_matrix over one algorithm, with the Server's
-  // cross-request stream cache plugged in — identical cells, identical
-  // table, plus a progress event per fault class.
-  march::CoverageRow row;
-  row.algorithm = alg.name();
-  const march::CoverageOptions copts{.seed = req.seed,
-                                     .max_instances_per_class = req.samples,
-                                     .jobs = req.jobs,
-                                     .kernel = req.kernel,
-                                     .cache = &streams_,
-                                     .cancel = &session.cancel};
-  for (int i = 0; i < total; ++i) {
-    common::throw_if_cancelled(&session.cancel);
-    row.cells[classes[i]] =
-        march::evaluate_coverage(alg, classes[i], req.geometry, copts);
-    session.done.store(i + 1, std::memory_order_relaxed);
-    emit(sink, event_progress(req.id, i + 1, total));
-  }
-
-  const std::vector<march::CoverageRow> rows{row};
-  return {0, march::format_coverage_table(rows, classes)};
+  const march::CoverageOptions copts{
+      .seed = req.seed,
+      .max_instances_per_class = req.samples,
+      .jobs = req.jobs,
+      .kernel = req.kernel,
+      .cache = &streams_,
+      .cancel = &session.cancel,
+      .progress = [this, &req, &session, &sink](int done, int total) {
+        session.done.store(done, std::memory_order_relaxed);
+        session.total.store(total, std::memory_order_relaxed);
+        emit(sink, event_progress(req.id, done, total));
+      }};
+  const std::vector<march::MarchAlgorithm> algs{alg};
+  return {0, march::format_coverage_table(
+                 march::coverage_matrix(algs, classes, req.geometry, copts),
+                 classes)};
 }
 
 Server::ExecResult Server::exec_soc(const Request& req, Session& session,

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
+#include <numeric>
 #include <random>
 #include <string>
 #include <thread>
@@ -1047,6 +1049,253 @@ TEST(DetectedLanes, RandomSharedAddressGroupsMatchScalar) {
                            groups, {1, 4});
     }
   }
+}
+
+
+// --- row calls ----------------------------------------------------------
+//
+// run_row replays one stream against several universes in one call.  Its
+// records must be, universe by universe, the scalar reference's run() on
+// that universe alone, with fault_index counted within the universe; the
+// row's lane-packs never straddle two universes, and progress reports
+// universes in order once their last shard has finished.
+
+// Per-universe scalar run() records, then the row under both kernels and
+// jobs 1 and 4.
+void expect_row_matches_scalar_runs(
+    std::span<const march::MemOp> stream, const memsim::MemoryGeometry& geom,
+    const std::vector<std::vector<memsim::Fault>>& universes,
+    std::uint64_t seed = 1) {
+  std::vector<march::CampaignResult> oracle;
+  for (const auto& universe : universes)
+    oracle.push_back(CampaignRunner{{.jobs = 1,
+                                     .powerup_seed = seed,
+                                     .kernel = CampaignKernel::Scalar}}
+                         .run(stream, geom, universe));
+  for (const CampaignKernel kernel :
+       {CampaignKernel::Packed, CampaignKernel::Scalar}) {
+    for (const int jobs : {1, 4}) {
+      SCOPED_TRACE(std::string{march::kernel_name(kernel)} +
+                   " jobs=" + std::to_string(jobs));
+      const auto row =
+          CampaignRunner{{.jobs = jobs, .powerup_seed = seed, .kernel = kernel}}
+              .run_row(stream, geom, universes);
+      ASSERT_EQ(row.size(), universes.size());
+      for (std::size_t u = 0; u < universes.size(); ++u) {
+        EXPECT_EQ(row[u].records, oracle[u].records) << "universe " << u;
+        for (std::size_t i = 0; i < row[u].records.size(); ++i)
+          ASSERT_EQ(row[u].records[i].fault_index, i) << "universe " << u;
+      }
+    }
+  }
+}
+
+// `n` sampled faults of one class (none for n = 0).
+std::vector<memsim::Fault> sampled(FaultClass cls,
+                                   const memsim::MemoryGeometry& geom,
+                                   std::uint64_t seed, int n) {
+  if (n == 0) return {};
+  auto universe = march::make_fault_universe(cls, geom, seed, n);
+  EXPECT_EQ(universe.size(), static_cast<std::size_t>(n));
+  return universe;
+}
+
+TEST(RowCampaign, RaggedUniverseSizesMatchPerUniverseScalarRuns) {
+  // Sizes 0, 1, 63, 64, 65 and 130: empty universes, one-lane packs, a
+  // pack one short of full, an exact pack, and ragged tails after full
+  // packs, all in one row.  256 words keep the packs sparse.
+  const int sizes[] = {0, 1, 63, 64, 65, 130};
+  const FaultClass classes[] = {FaultClass::SAF,  FaultClass::CFid,
+                                FaultClass::AF,   FaultClass::DRF,
+                                FaultClass::SOF,  FaultClass::DRDF};
+  for (const int word_bits : {1, 8}) {
+    const memsim::MemoryGeometry geom{.address_bits = 8,
+                                      .word_bits = word_bits, .num_ports = 1};
+    std::vector<std::vector<memsim::Fault>> universes;
+    for (std::size_t k = 0; k < std::size(sizes); ++k)
+      universes.push_back(sampled(classes[k], geom, 17 + k, sizes[k]));
+    // The same sizes once more in another order, so an empty universe
+    // sits between non-empty ones and the row ends on a one-lane pack.
+    for (const std::size_t k : {5u, 0u, 3u, 1u, 4u, 2u})
+      universes.push_back(sampled(classes[(k + 1) % std::size(classes)],
+                                  geom, 91 + k, sizes[k]));
+    for (const char* name : {"March C+", "March C++"}) {
+      SCOPED_TRACE(std::string{name} + " word_bits=" +
+                   std::to_string(word_bits));
+      expect_row_matches_scalar_runs(
+          march::expand(march::by_name(name), geom), geom, universes);
+    }
+  }
+}
+
+TEST(RowCampaign, DenseUniverseBetweenSparseOnes) {
+  // Port-read and NPSF faults reach ops at every address, so their packs
+  // replay densely; the sparse universes on either side must still match
+  // the scalar reference (and do not share a pack with them).
+  for (const int word_bits : {1, 8}) {
+    const memsim::MemoryGeometry geom{.address_bits = 7,
+                                      .word_bits = word_bits, .num_ports = 2};
+    std::vector<memsim::Fault> dense;
+    for (int i = 0; i < 70; ++i) {
+      const auto a = static_cast<memsim::Address>(3 * i % geom.num_words());
+      if (i % 2 == 0)
+        dense.push_back(
+            memsim::PortReadFault{(i / 2) % 2, (i / 4) % word_bits});
+      else
+        dense.push_back(memsim::NeighborhoodPatternFault{
+            {a, i % word_bits},
+            {{(a + 1) % 128, 0}, {(a + 16) % 128, word_bits - 1}},
+            static_cast<std::uint16_t>(i % 4),
+            i % 3 == 0});
+    }
+    const std::vector<std::vector<memsim::Fault>> universes{
+        sampled(FaultClass::SAF, geom, 3, 65), dense,
+        sampled(FaultClass::CFst, geom, 4, 64), {dense[0]},
+        sampled(FaultClass::TF, geom, 5, 1)};
+    SCOPED_TRACE(word_bits);
+    expect_row_matches_scalar_runs(march::expand(march::march_c(), geom),
+                                   geom, universes);
+  }
+}
+
+TEST(RowCampaign, FailingFaultFreeReplayMakesEveryPackDense) {
+  // A read of the power-up contents fails in a fault-free memory, so
+  // every pack of every universe replays densely.
+  for (const int word_bits : {1, 8}) {
+    const memsim::MemoryGeometry geom{.address_bits = 7,
+                                      .word_bits = word_bits, .num_ports = 1};
+    march::OpStream stream = march::expand(march::march_c(), geom);
+    stream.insert(stream.begin(), march::MemOp::read(0, 77, 0));
+    const std::vector<std::vector<memsim::Fault>> universes{
+        sampled(FaultClass::SAF, geom, 8, 63), {},
+        sampled(FaultClass::AF, geom, 9, 65),
+        sampled(FaultClass::IRF, geom, 10, 1)};
+    for (const std::uint64_t seed : {1u, 2u}) {
+      SCOPED_TRACE(std::to_string(word_bits) + " seed=" +
+                   std::to_string(seed));
+      expect_row_matches_scalar_runs(stream, geom, universes, seed);
+    }
+  }
+}
+
+TEST(RowCampaign, ProgressReportsUniversesInOrder) {
+  // One call per universe, D = 1..N in order, at any jobs and kernel;
+  // empty universes are reported too, leading and trailing ones included.
+  const memsim::MemoryGeometry geom{.address_bits = 8, .word_bits = 1,
+                                    .num_ports = 1};
+  const auto stream = march::expand(march::march_c_plus(), geom);
+  const std::vector<std::vector<memsim::Fault>> universes{
+      {},
+      sampled(FaultClass::SAF, geom, 1, 130),
+      {},
+      sampled(FaultClass::CFin, geom, 2, 65),
+      sampled(FaultClass::TF, geom, 3, 1),
+      sampled(FaultClass::DRF, geom, 4, 200),
+      {}};
+  const int n = static_cast<int>(universes.size());
+  for (const CampaignKernel kernel :
+       {CampaignKernel::Packed, CampaignKernel::Scalar}) {
+    for (const int jobs : {1, 4}) {
+      std::mutex mu;
+      std::vector<int> seen;
+      (void)CampaignRunner{{.jobs = jobs, .kernel = kernel}}.run_row(
+          stream, geom, universes, [&](int done, int total) {
+            std::lock_guard lock{mu};
+            EXPECT_EQ(total, n);
+            seen.push_back(done);
+          });
+      std::vector<int> expected(static_cast<std::size_t>(n));
+      std::iota(expected.begin(), expected.end(), 1);
+      EXPECT_EQ(seen, expected) << march::kernel_name(kernel)
+                                << " jobs=" << jobs;
+    }
+  }
+}
+
+TEST(RowCampaign, CancelAtAUniverseBoundaryStopsBeforeTheNextUniverse) {
+  // At jobs 1 the packs run in order and cancellation is polled before
+  // each pack, so a cancel raised when universe 0 is reported stops the
+  // row before universe 1's first pack: two one-fault universes are two
+  // packs, never one.
+  const auto stream = march::expand(march::march_c(), kGeom);
+  const std::vector<std::vector<memsim::Fault>> universes{
+      sampled(FaultClass::SAF, kGeom, 1, 1),
+      sampled(FaultClass::TF, kGeom, 2, 1)};
+  for (const CampaignKernel kernel :
+       {CampaignKernel::Packed, CampaignKernel::Scalar}) {
+    std::atomic<bool> cancel{false};
+    std::vector<int> seen;
+    const CampaignRunner runner{
+        {.jobs = 1, .kernel = kernel, .cancel = &cancel}};
+    const auto run = [&] {
+      return runner.run_row(stream, kGeom, universes, [&](int done, int) {
+        seen.push_back(done);
+        cancel.store(true);
+      });
+    };
+    EXPECT_THROW((void)run(), common::Cancelled) << march::kernel_name(kernel);
+    EXPECT_EQ(seen, std::vector<int>{1}) << march::kernel_name(kernel);
+  }
+}
+
+TEST(RowCampaign, AUniverseWhoseLastPackFailsIsNeverReported) {
+  // Universe 0's last instance references a cell outside the memory, so
+  // its last shard throws.  Universe 0 never completes, so neither it nor
+  // any universe after it may be reported, whichever shards finish first.
+  const memsim::MemoryGeometry geom{.address_bits = 8, .word_bits = 1,
+                                    .num_ports = 1};
+  const auto stream = march::expand(march::march_c(), geom);
+  std::vector<std::vector<memsim::Fault>> universes{
+      sampled(FaultClass::SAF, geom, 1, 130),
+      sampled(FaultClass::TF, geom, 2, 130)};
+  universes[0].back() = memsim::StuckAtFault{{1000, 0}, true};
+  for (const CampaignKernel kernel :
+       {CampaignKernel::Packed, CampaignKernel::Scalar}) {
+    for (const int jobs : {1, 4}) {
+      std::atomic<int> reported{0};
+      const CampaignRunner runner{{.jobs = jobs, .kernel = kernel}};
+      const auto run = [&] {
+        return runner.run_row(stream, geom, universes,
+                              [&](int, int) { ++reported; });
+      };
+      EXPECT_THROW((void)run(), std::invalid_argument);
+      EXPECT_EQ(reported.load(), 0)
+          << march::kernel_name(kernel) << " jobs=" << jobs;
+    }
+  }
+}
+
+TEST(RowCampaign, CoverageMatrixMatchesPerClassEvaluation) {
+  // coverage_matrix runs each row through run_row; its cells must be the
+  // per-class evaluate_coverage cells, and its progress counts cells.
+  const memsim::MemoryGeometry geom{.address_bits = 6, .word_bits = 1,
+                                    .num_ports = 1};
+  const std::vector<march::MarchAlgorithm> algs{march::mats_plus(),
+                                                march::march_c_plus()};
+  const auto& classes = memsim::all_fault_classes();
+  std::vector<int> seen;
+  std::mutex mu;
+  const march::CoverageOptions opts{
+      .seed = 5, .max_instances_per_class = 70, .jobs = 4,
+      .progress = [&](int done, int total) {
+        std::lock_guard lock{mu};
+        EXPECT_EQ(total, static_cast<int>(algs.size() * classes.size()));
+        seen.push_back(done);
+      }};
+  const auto rows = march::coverage_matrix(algs, classes, geom, opts);
+  ASSERT_EQ(rows.size(), algs.size());
+  for (std::size_t a = 0; a < algs.size(); ++a)
+    for (const FaultClass cls : classes) {
+      const auto cell = march::evaluate_coverage(
+          algs[a], cls, geom,
+          {.seed = 5, .max_instances_per_class = 70, .jobs = 1,
+           .kernel = CampaignKernel::Scalar});
+      EXPECT_EQ(rows[a].cells.at(cls).detected, cell.detected);
+      EXPECT_EQ(rows[a].cells.at(cls).total, cell.total);
+    }
+  std::vector<int> expected(algs.size() * classes.size());
+  std::iota(expected.begin(), expected.end(), 1);
+  EXPECT_EQ(seen, expected);
 }
 
 }  // namespace
