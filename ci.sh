@@ -16,9 +16,10 @@
 # ServeEquivalence.RaggedParallelCampaignKeepsProgressInClassOrder and
 # ServeEquivalence.CampaignPayloadMatchesEngineOutput), an
 # Address+UndefinedBehaviorSanitizer build of
-# the thread pool, linter, controller, fuzz, campaign, backend, serve, soc,
-# field, memsim, analysis, NPSF, cross-architecture, hardwired and BIST
-# session suites (test_thread_pool runs with
+# the thread pool, linter, controller, fuzz, campaign, backend, serve,
+# request-parser, soc, field, memsim, analysis, NPSF, cross-architecture,
+# hardwired and BIST session suites (test_request feeds the argv and NDJSON
+# readers outside input; test_thread_pool runs with
 # detect_stack_use_after_return=1, so a worker touching the caller's dead
 # frame is reported; the scalar/packed equivalence sweep under ASan pins
 # the packed kernel's lane bookkeeping, including the detected-lane skips
@@ -166,7 +167,7 @@ cmake --build build-tsan -j "${JOBS}" --target test_campaign --target test_soc \
   --gtest_filter='ServeEquivalence.Ragged*:ServeEquivalence.CampaignPayload*' \
   --gtest_repeat=20
 
-echo "== asan+ubsan: thread pool, linter, controllers, fuzz, packed-kernel equivalence, serve, soc, field =="
+echo "== asan+ubsan: thread pool, linter, controllers, fuzz, packed-kernel equivalence, serve, request parsers, soc, field =="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPMBIST_WERROR=ON \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
@@ -175,7 +176,8 @@ cmake --build build-asan -j "${JOBS}" \
   --target test_campaign --target test_backend --target test_thread_pool \
   --target test_serve --target test_soc --target test_field \
   --target test_memsim --target test_analysis --target test_npsf \
-  --target test_cross --target test_hardwired --target test_bist
+  --target test_cross --target test_hardwired --target test_bist \
+  --target test_request
 ASAN_OPTIONS=detect_stack_use_after_return=1 ./build-asan/tests/test_thread_pool
 ./build-asan/tests/test_lint
 ./build-asan/tests/test_fuzz
@@ -184,6 +186,7 @@ ASAN_OPTIONS=detect_stack_use_after_return=1 ./build-asan/tests/test_thread_pool
 ./build-asan/tests/test_campaign
 ./build-asan/tests/test_backend
 ./build-asan/tests/test_serve
+./build-asan/tests/test_request
 ./build-asan/tests/test_soc
 ./build-asan/tests/test_field
 ./build-asan/tests/test_memsim

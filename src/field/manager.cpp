@@ -13,6 +13,7 @@
 #include "common/thread_pool.h"
 #include "diag/bitmap.h"
 #include "diag/transparent.h"
+#include "march/library.h"
 #include "memsim/faulty_memory.h"
 #include "repair/repaired_memory.h"
 
@@ -226,7 +227,7 @@ FieldReport FieldManager::run(const soc::SocDescription& chip,
 
   std::vector<march::MarchAlgorithm> algs(n);
   for (std::size_t i = 0; i < n; ++i)
-    algs[i] = soc::resolve_algorithm(assignments[i].algorithm);
+    algs[i] = march::resolve_algorithm(assignments[i].algorithm);
 
   // Participants: assignments whose memory has idle windows before the
   // horizon.  Assignments without windows stay in the report untested

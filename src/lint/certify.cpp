@@ -9,6 +9,7 @@
 
 #include "bist/session.h"
 #include "field/segment.h"
+#include "march/library.h"
 #include "soc/scheduler.h"
 
 namespace pmbist::lint {
@@ -143,7 +144,7 @@ Report certify_soc(const soc::SocDescription& chip, const soc::TestPlan& plan,
       const auto* mem = chip.find(a.memory);
       SocDerived d;
       d.assignment = &a;
-      const auto alg = soc::resolve_algorithm(a.algorithm);
+      const auto alg = march::resolve_algorithm(a.algorithm);
       const auto controller =
           soc::make_plan_controller(a.controller, alg, mem->geometry, &d.load);
       d.test = bist::count_cycles(*controller, options.max_cycles);
@@ -269,9 +270,9 @@ Report certify_field(const soc::SocDescription& chip,
       const auto* mem = chip.find(a.memory);
       FieldDerived d;
       d.assignment = &a;
-      d.plan = field::segment_transparent(soc::resolve_algorithm(a.algorithm),
-                                          mem->geometry, a.controller,
-                                          options.max_cycles);
+      d.plan = field::segment_transparent(
+          march::resolve_algorithm(a.algorithm), mem->geometry, a.controller,
+          options.max_cycles);
       d.weight = plan.effective_weight(a, *mem);
       d.can_retest = mem->repair.any() && mem->geometry.bit_oriented() &&
                      !mem->faults.empty();

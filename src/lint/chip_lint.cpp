@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "lint/prover.h"
+#include "march/library.h"
 #include "mbist_pfsm/compiler.h"
 #include "soc/chip.h"
 
@@ -163,7 +164,7 @@ Report lint_chip_text(const std::string& text, std::string unit) {
     }
     MarchAlgorithm alg;
     try {
-      alg = soc::resolve_algorithm(a.algorithm);
+      alg = march::resolve_algorithm(a.algorithm);
     } catch (const std::exception& e) {
       report.add("CH04", unit, lineno,
                  "'" + a.memory + "': cannot resolve algorithm '" +

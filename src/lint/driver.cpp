@@ -67,14 +67,8 @@ std::string strip_march_comments(const std::string& text) {
 /// allowed).  Returns false after adding EQ00 when it does not resolve.
 bool resolve_against(const std::string& raw, const std::string& unit,
                      march::MarchAlgorithm& out, Report& report) {
-  const std::string text = strip_march_comments(raw);
   try {
-    out = march::by_name(text);
-    return true;
-  } catch (const std::out_of_range&) {
-  }
-  try {
-    out = march::parse(text, "--against");
+    out = march::resolve_algorithm(strip_march_comments(raw), "--against");
     return true;
   } catch (const march::ParseError& e) {
     report.add("EQ00", unit, -1,
@@ -147,15 +141,11 @@ Report lint_march_text(const std::string& raw, std::string unit,
   const std::string text = strip_march_comments(raw);
   march::MarchAlgorithm alg;
   try {
-    alg = march::by_name(text);
-  } catch (const std::out_of_range&) {
-    try {
-      alg = march::parse(text, unit);
-    } catch (const march::ParseError& e) {
-      report.add("MA00", std::move(unit), -1, e.what(),
-                 "see docs/DSL.md for the grammar");
-      return report;
-    }
+    alg = march::resolve_algorithm(text, unit);
+  } catch (const march::ParseError& e) {
+    report.add("MA00", std::move(unit), -1, e.what(),
+               "see docs/DSL.md for the grammar");
+    return report;
   }
   report.merge(lint_march(alg, {}, std::move(unit)));
   return report;

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <iomanip>
 #include <sstream>
+#include <stdexcept>
 
 #include "march/campaign.h"
 #include "march/library.h"
@@ -88,6 +89,15 @@ std::vector<Fault> make_fault_universe(FaultClass cls,
   std::vector<Fault> out;
   Rng rng{seed ^ (static_cast<std::uint64_t>(cls) << 32)};
   const auto n = static_cast<std::uint32_t>(g.num_words());
+  // The samplers below redraw until two cells (couplings) or two words
+  // (AF) differ, which never happens in a smaller geometry.
+  const bool coupling = cls == FaultClass::CFin || cls == FaultClass::CFid ||
+                        cls == FaultClass::CFst;
+  if ((coupling && g.num_words() * g.word_bits < 2) ||
+      (cls == FaultClass::AF && n < 2))
+    throw std::invalid_argument(
+        std::string{memsim::fault_class_name(cls)} + " faults need two " +
+        (coupling ? "cells" : "words") + "; the geometry has one");
 
   // Exhaustive per-cell enumeration when it fits, else deterministic
   // sampling.  `emit_per_cell` builds `variants` faults for a given bit.
@@ -217,6 +227,8 @@ std::vector<std::pair<Fault, Fault>> make_linked_cfid_universe(
   out.reserve(static_cast<std::size_t>(count));
   Rng rng{seed ^ 0x11CCDDull};
   const auto n = static_cast<std::uint32_t>(g.num_words());
+  if (g.num_words() * g.word_bits < 3)
+    throw std::invalid_argument("linked CFid pairs need three cells");
   while (static_cast<int>(out.size()) < count) {
     const BitRef victim = random_bit(rng, g);
     BitRef agg1 = random_bit(rng, g);
@@ -233,7 +245,8 @@ std::vector<std::pair<Fault, Fault>> make_linked_cfid_universe(
 std::vector<Fault> make_intra_word_cf_universe(const MemoryGeometry& g,
                                                std::uint64_t seed,
                                                int count) {
-  assert(g.word_bits >= 2);
+  if (g.word_bits < 2)
+    throw std::invalid_argument("intra-word couplings need two bits a word");
   std::vector<Fault> out;
   out.reserve(static_cast<std::size_t>(count));
   Rng rng{seed ^ 0xAB1DEull};

@@ -52,7 +52,9 @@ RunResult run_stream(std::span<const MemOp> stream, memsim::Memory& memory,
 /// Deterministically samples up to `max_instances` fault instances of one
 /// class over the geometry.  Small geometries enumerate exhaustively where
 /// feasible (SAF/TF/SOF/RDF/DRDF/DRF across all cells; coupling and AF
-/// instances are sampled).
+/// instances are sampled).  Throws std::invalid_argument for a coupling
+/// class on a one-cell geometry and for AF on a one-word geometry: their
+/// instances need two distinct cells or words.
 [[nodiscard]] std::vector<memsim::Fault> make_fault_universe(
     memsim::FaultClass cls, const MemoryGeometry& geometry,
     std::uint64_t seed, int max_instances);
@@ -61,14 +63,15 @@ RunResult run_stream(std::span<const MemOp> stream, memsim::Memory& memory,
 /// CFids sharing a victim with opposite forced values, the classic masking
 /// configuration (the second coupling can undo the first before any read
 /// observes it).  March LR was designed for exactly these; March C-class
-/// algorithms miss a fraction.  Each entry is injected as a pair.
+/// algorithms miss a fraction.  Each entry is injected as a pair.  Throws
+/// std::invalid_argument on a geometry of fewer than three cells.
 [[nodiscard]] std::vector<std::pair<memsim::Fault, memsim::Fault>>
 make_linked_cfid_universe(const MemoryGeometry& geometry, std::uint64_t seed,
                           int count);
 
 /// Deterministically samples *intra-word* coupling faults (aggressor and
 /// victim bits inside the same word) — the population the data-background
-/// sweep exists for.  Requires word_bits >= 2.
+/// sweep exists for.  Throws std::invalid_argument when word_bits < 2.
 [[nodiscard]] std::vector<memsim::Fault> make_intra_word_cf_universe(
     const MemoryGeometry& geometry, std::uint64_t seed, int count);
 

@@ -1,6 +1,9 @@
 #include "march/library.h"
 
 #include <stdexcept>
+#include <utility>
+
+#include "march/parser.h"
 
 namespace pmbist::march {
 
@@ -143,6 +146,12 @@ MarchAlgorithm by_name(std::string_view name) {
   for (auto& alg : all_algorithms())
     if (alg.name() == name) return alg;
   throw std::out_of_range("unknown march algorithm: " + std::string{name});
+}
+
+MarchAlgorithm resolve_algorithm(std::string_view text, std::string name) {
+  for (auto& alg : all_algorithms())
+    if (alg.name() == text) return alg;
+  return parse(text, std::move(name));
 }
 
 }  // namespace pmbist::march

@@ -42,6 +42,11 @@ inline constexpr std::uint64_t kDefaultPauseNs = 100'000'000;
 /// Throws std::out_of_range for unknown names.
 [[nodiscard]] MarchAlgorithm by_name(std::string_view name);
 
+/// Resolves a library algorithm name ("March C+") or an inline DSL string
+/// (named `name`).  Throws march::ParseError when neither works.
+[[nodiscard]] MarchAlgorithm resolve_algorithm(std::string_view text,
+                                               std::string name = "custom");
+
 /// All library algorithms, in complexity order.
 [[nodiscard]] std::vector<MarchAlgorithm> all_algorithms();
 

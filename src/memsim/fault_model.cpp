@@ -76,6 +76,12 @@ const std::vector<FaultClass>& all_fault_classes() {
   return kAll;
 }
 
+std::optional<FaultClass> parse_fault_class(std::string_view name) {
+  for (const FaultClass cls : all_fault_classes())
+    if (fault_class_name(cls) == name) return cls;
+  return std::nullopt;
+}
+
 std::string describe(const Fault& f) {
   std::ostringstream os;
   os << fault_class_name(fault_class(f)) << " ";

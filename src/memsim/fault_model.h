@@ -37,7 +37,9 @@
 //         pause lets the cell recover.
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -198,5 +200,10 @@ enum class FaultClass : std::uint8_t {
 
 /// All fault classes, in display order.
 [[nodiscard]] const std::vector<FaultClass>& all_fault_classes();
+
+/// Parses a class name of all_fault_classes() ("SAF", "CFin", ...);
+/// nullopt on anything else.
+[[nodiscard]] std::optional<FaultClass> parse_fault_class(
+    std::string_view name);
 
 }  // namespace pmbist::memsim

@@ -17,39 +17,16 @@
 #include <thread>
 #include <utility>
 
-#include "backend/memtest.h"
 #include "common/cancel.h"
 #include "common/hash.h"
 #include "common/json.h"
-#include "field/manager.h"
-#include "field/profile.h"
-#include "lint/certify.h"
 #include "lint/diagnostics.h"
-#include "lint/driver.h"
-#include "march/coverage.h"
-#include "march/library.h"
-#include "march/parser.h"
-#include "soc/chip.h"
-#include "soc/scheduler.h"
+#include "serve/execute.h"
 
 namespace pmbist::serve {
 namespace {
 
 namespace json = common::json;
-
-march::MarchAlgorithm resolve_algorithm(const std::string& name) {
-  try {
-    return march::by_name(name);
-  } catch (const std::out_of_range&) {
-    return march::parse(name, "custom");
-  }
-}
-
-memsim::FaultClass class_by_name(const std::string& name) {
-  for (auto cls : memsim::all_fault_classes())
-    if (memsim::fault_class_name(cls) == name) return cls;
-  throw std::runtime_error("unknown fault class '" + name + "'");
-}
 
 /// Chains every lint input that can change the verdict into one key;
 /// 0x1f separators keep adjacent fields from aliasing.
@@ -69,15 +46,6 @@ std::uint64_t lint_key(const Request& req) {
   mix(req.profile);
   mix(req.certify ? "certify" : "");
   return key;
-}
-
-/// Certify gate for exec_soc/exec_field under ServerOptions::certify: a
-/// certificate violation fails the whole request (the caller turns the
-/// throw into an `error` event) — never a corrupted-but-replied result.
-void require_certified(const lint::Report& report, const char* what) {
-  if (!report.has_errors()) return;
-  throw std::runtime_error(std::string("schedule certificate failed (") +
-                           what + "):\n" + lint::format_text(report));
 }
 
 json::Value cache_stats_json(std::uint64_t hits, std::uint64_t misses,
@@ -135,7 +103,7 @@ bool Server::post(const std::string& line, Sink sink,
   }
 
   if (req.kind == RequestKind::Cancel) {
-    std::shared_ptr<Session> target;
+    std::shared_ptr<CancelFlag> target;
     {
       std::lock_guard lock{registry_mu_};
       if (const auto it = sessions_.find(req.target); it != sessions_.end())
@@ -144,7 +112,7 @@ bool Server::post(const std::string& line, Sink sink,
     if (target == nullptr) {
       emit(sink, event_error(req.id, "no active session '" + req.target + "'"));
     } else {
-      target->cancel.store(true, std::memory_order_relaxed);
+      target->store(true, std::memory_order_relaxed);
       emit(sink, event_result(req.id, 0, "cancelling '" + req.target + "'"));
     }
     return false;
@@ -155,8 +123,7 @@ bool Server::post(const std::string& line, Sink sink,
     return false;
   }
 
-  auto session = std::make_shared<Session>();
-  session->id = req.id;
+  auto cancel = std::make_shared<CancelFlag>(false);
   {
     std::lock_guard lock{registry_mu_};
     if (sessions_.contains(req.id)) {
@@ -164,23 +131,23 @@ bool Server::post(const std::string& line, Sink sink,
                              "session '" + req.id + "' is already active"));
       return false;
     }
-    sessions_.emplace(req.id, session);
+    sessions_.emplace(req.id, cancel);
   }
   // `accepted` goes out before post() returns, so a client always sees it
   // ahead of any progress/terminal event of the same request.
   emit(sink, event_accepted(req.id));
   if (queued_id != nullptr) *queued_id = req.id;
-  pool_->submit([this, req = std::move(req), session, sink = std::move(sink)] {
-    run_session(req, session, sink);
+  pool_->submit([this, req = std::move(req), cancel, sink = std::move(sink)] {
+    run_session(req, cancel, sink);
   });
   return true;
 }
 
 void Server::run_session(const Request& req,
-                         const std::shared_ptr<Session>& session,
+                         const std::shared_ptr<CancelFlag>& cancel,
                          const Sink& sink) {
   try {
-    const ExecResult result = execute(req, *session, sink);
+    const VerdictCache::Verdict result = run(req, *cancel, sink);
     emit(sink, event_result(req.id, result.exit_code, result.payload));
   } catch (const common::Cancelled&) {
     emit(sink, event_cancelled(req.id));
@@ -195,141 +162,35 @@ void Server::run_session(const Request& req,
   registry_cv_.notify_all();
 }
 
-Server::ExecResult Server::execute(const Request& req, Session& session,
-                                   const Sink& sink) {
-  switch (req.kind) {
-    case RequestKind::Campaign: return exec_campaign(req, session, sink);
-    case RequestKind::Soc: return exec_soc(req, session, sink);
-    case RequestKind::Field: return exec_field(req, session, sink);
-    case RequestKind::Memtest: return exec_memtest(req, session, sink);
-    case RequestKind::Lint: return exec_lint(req);
-    case RequestKind::Cancel:
-    case RequestKind::Stats: break;  // handled synchronously in post()
-  }
-  throw std::logic_error("unreachable request kind");
-}
-
-Server::ExecResult Server::exec_campaign(const Request& req, Session& session,
-                                         const Sink& sink) {
-  const auto alg = resolve_algorithm(req.algorithm);
-  std::vector<memsim::FaultClass> classes;
-  if (req.fault_classes.empty()) {
-    const auto& all = memsim::all_fault_classes();
-    classes.assign(all.begin(), all.end());
-  } else {
-    for (const auto& name : req.fault_classes)
-      classes.push_back(class_by_name(name));
+VerdictCache::Verdict Server::run(const Request& req, const CancelFlag& cancel,
+                                  const Sink& sink) {
+  if (req.kind == RequestKind::Lint) {
+    const std::uint64_t key = lint_key(req);
+    if (auto hit = lints_.get(key)) return std::move(*hit);
+    ExecResult result = execute(req, {});
+    VerdictCache::Verdict verdict{std::move(result.payload),
+                                  result.exit_code};
+    lints_.put(key, verdict);
+    return verdict;
   }
 
-  const march::CoverageOptions copts{
-      .seed = req.seed,
-      .max_instances_per_class = req.samples,
-      .jobs = req.jobs,
-      .kernel = req.kernel,
-      .cache = &streams_,
-      .cancel = &session.cancel,
-      .progress = [this, &req, &session, &sink](int done, int total) {
-        session.done.store(done, std::memory_order_relaxed);
-        session.total.store(total, std::memory_order_relaxed);
-        emit(sink, event_progress(req.id, done, total));
-      }};
-  const std::vector<march::MarchAlgorithm> algs{alg};
-  return {0, march::format_coverage_table(
-                 march::coverage_matrix(algs, classes, req.geometry, copts),
-                 classes)};
-}
-
-Server::ExecResult Server::exec_soc(const Request& req, Session& session,
-                                    const Sink& sink) {
-  soc::ChipFile chip = soc::parse_chip(req.chip);
-  if (req.power_budget >= 0.0) chip.plan.set_power_budget(req.power_budget);
-
-  const soc::SchedulerOptions opts{
-      .jobs = req.jobs,
-      .max_failures = req.max_failures,
-      .cancel = &session.cancel,
-      .progress = [this, &req, &session, &sink](int done, int total) {
-        session.done.store(done, std::memory_order_relaxed);
-        session.total.store(total, std::memory_order_relaxed);
-        emit(sink, event_progress(req.id, done, total));
-      }};
-  const auto result = soc::run_soc(chip.description, chip.plan, opts);
-  if (options_.certify)
-    require_certified(
-        lint::certify_soc(chip.description, chip.plan, result.schedule),
-        "soc");
-  return {result.all_healthy() ? 0 : 1,
-          soc::format_soc_report(chip.description, chip.plan, result)};
-}
-
-Server::ExecResult Server::exec_field(const Request& req, Session& session,
-                                      const Sink& sink) {
-  const soc::ChipFile chip = soc::parse_chip(req.chip);
-  const field::MissionProfile profile = field::parse_profile_text(req.profile);
-
-  const field::FieldOptions opts{
-      .jobs = req.jobs,
-      .max_failures = req.max_failures,
-      .cancel = &session.cancel,
-      .progress = [this, &req, &session, &sink](int done, int total) {
-        session.done.store(done, std::memory_order_relaxed);
-        session.total.store(total, std::memory_order_relaxed);
-        emit(sink, event_progress(req.id, done, total));
-      }};
-  const auto report = field::run_field(chip.description, chip.plan, profile,
-                                       opts);
-  if (options_.certify)
-    require_certified(
-        lint::certify_field(chip.description, chip.plan, profile, report),
-        "field");
-  return {report.all_healthy() ? 0 : 1, field::format_field_report(report)};
-}
-
-Server::ExecResult Server::exec_memtest(const Request& req, Session& session,
-                                        const Sink& sink) {
-  const auto alg = resolve_algorithm(req.algorithm);
-  const backend::MemtestOptions opts{
-      .size_bytes = req.size_mb << 20,
-      .passes = req.passes,
-      .backgrounds = req.backgrounds,
-      .jobs = req.jobs,
-      .backend = req.backend,
-      .max_failures = req.max_failures,
-      .cancel = &session.cancel,
-      .progress = [this, &req, &session, &sink](std::uint64_t done,
-                                                std::uint64_t total) {
-        session.done.store(static_cast<int>(done), std::memory_order_relaxed);
-        session.total.store(static_cast<int>(total), std::memory_order_relaxed);
-        emit(sink, event_progress(req.id, static_cast<int>(done),
-                                  static_cast<int>(total)));
-      }};
-  const auto report = backend::run_memtest(alg, opts);
-  // The engine reports cancellation by returning early; serve's contract
-  // is a `cancelled` terminal event, same as the other work kinds.
-  if (!report.completed) throw common::Cancelled{};
-  return {report.passed() ? 0 : 1, backend::format_memtest_report(report)};
-}
-
-Server::ExecResult Server::exec_lint(const Request& req) {
-  const std::uint64_t key = lint_key(req);
-  if (auto hit = lints_.get(key))
-    return {hit->exit_code, std::move(hit->payload)};
-
-  const lint::LintOptions lopts{.storage_depth = req.storage_depth,
-                                .buffer_depth = req.buffer_depth,
-                                .chip = req.chip,
-                                .profile = req.profile,
-                                .certify = req.certify,
-                                .against = req.against,
-                                // One worker per session: the verdict is
-                                // jobs-invariant, so the cache key omits it.
-                                .jobs = 1};
-  const lint::Report report = lint::lint_text(req.input, req.unit, lopts);
-  VerdictCache::Verdict verdict{lint::format_cli(report, req.unit,
-                                                 req.lint_json),
-                                report.has_errors() ? 1 : 0};
-  lints_.put(key, verdict);
-  return {verdict.exit_code, std::move(verdict.payload)};
+  ExecResult result =
+      execute(req, {.streams = &streams_,
+                    .cancel = &cancel,
+                    .progress = [this, &req, &sink](int done, int total) {
+                      emit(sink, event_progress(req.id, done, total));
+                    },
+                    .certify = options_.certify});
+  // The memtest engine reports cancellation by returning early; serve's
+  // contract is a `cancelled` terminal event, same as the other kinds.
+  if (!result.completed) throw common::Cancelled{};
+  // A certificate violation fails the whole request (an `error` event),
+  // never a corrupted-but-replied result.
+  if (result.certificate.has_errors())
+    throw std::runtime_error("schedule certificate failed (" +
+                             std::string{to_string(req.kind)} + "):\n" +
+                             lint::format_text(result.certificate));
+  return {std::move(result.payload), result.exit_code};
 }
 
 std::string Server::stats_payload() const {
@@ -358,8 +219,6 @@ Server::Stats Server::stats() const {
   return out;
 }
 
-march::StreamCache& Server::stream_cache() { return streams_; }
-
 void Server::wait_finished(const std::string& id) {
   std::unique_lock lock{registry_mu_};
   registry_cv_.wait(lock, [&] { return !sessions_.contains(id); });
@@ -383,22 +242,14 @@ void Server::run_pipe(std::istream& in, std::ostream& out,
     for (const std::string& event : call(line)) {
       out << event << '\n';
       if (payload_dir.empty()) continue;
-      // Mirror result payloads to files (see header).  Our own events
-      // always re-parse; guard anyway so a write problem cannot take the
-      // whole batch down.
-      try {
-        const json::Value doc = json::Value::parse(event);
-        const json::Value* kind = doc.find("event");
-        const json::Value* payload = doc.find("payload");
-        const json::Value* id = doc.find("id");
-        if (kind != nullptr && kind->is_string() &&
-            kind->as_string() == "result" && payload != nullptr &&
-            id != nullptr) {
-          std::ofstream file{payload_dir + "/" + id->as_string() + ".out",
-                             std::ios::binary | std::ios::trunc};
-          file << payload->as_string();
-        }
-      } catch (const json::JsonError&) {
+      // Mirror result payloads to files (see header); only `result`
+      // events carry one.
+      const json::Value doc = json::Value::parse(event);
+      if (const json::Value* payload = doc.find("payload")) {
+        std::ofstream file{payload_dir + "/" + doc.find("id")->as_string() +
+                               ".out",
+                           std::ios::binary | std::ios::trunc};
+        file << payload->as_string();
       }
     }
     out.flush();

@@ -12,8 +12,12 @@
 //               requests from all connections interleaved on the pool.
 //
 // Concurrency model.  The Server owns a private common::ThreadPool of
-// `sessions` workers; every work request becomes a Session (session.h)
-// executed as one pool task.  The engines underneath parallelize each
+// `sessions` workers; every work request becomes a session executed as
+// one pool task.  A session is registered by id, with its cooperative
+// cancel flag (the target of `cancel` requests, polled by the engines at
+// shard boundaries through common/cancel.h), from `accepted` until its
+// terminal event, so cancelling a finished session is an error.  The
+// engines underneath parallelize each
 // session across the process-wide shared_pool() via parallel_shards — the
 // two layers never share a pool, so a session body blocking on its shards
 // cannot starve the server (the no-nested-parallel_shards rule of
@@ -28,12 +32,14 @@
 //
 // Equivalence contract.  Every `result` payload is byte-identical to the
 // stdout of the equivalent one-shot CLI invocation with the same
-// jobs/kernel, because both sides call the same formatters
-// (march::format_coverage_table, soc::format_soc_report,
-// field::format_field_report, lint::format_cli).  docs/SERVE.md documents
-// the protocol; bench/bench_serve.cpp measures throughput and cache
-// effect.
+// jobs/kernel, because both run serve::execute (execute.h).  The Server
+// adds its caches, the session's cancel flag and progress events, and
+// three policies of its own: the lint verdict cache, failing a request
+// whose schedule certificate has errors, and turning an unfinished
+// memtest into `cancelled`.  docs/SERVE.md documents the protocol;
+// bench/bench_serve.cpp measures throughput and cache effect.
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -48,7 +54,6 @@
 #include "march/campaign.h"
 #include "serve/cache.h"
 #include "serve/protocol.h"
-#include "serve/session.h"
 
 namespace pmbist::serve {
 
@@ -129,29 +134,13 @@ class Server {
   };
   [[nodiscard]] Stats stats() const;
 
-  /// The cross-request op-stream cache (exposed for tests and benches).
-  [[nodiscard]] march::StreamCache& stream_cache();
-
-  [[nodiscard]] const ServerOptions& options() const noexcept {
-    return options_;
-  }
-
  private:
-  struct ExecResult {
-    int exit_code = 0;
-    std::string payload;
-  };
-
-  void run_session(const Request& req, const std::shared_ptr<Session>& session,
-                   const Sink& sink);
-  ExecResult execute(const Request& req, Session& session, const Sink& sink);
-  ExecResult exec_campaign(const Request& req, Session& session,
-                           const Sink& sink);
-  ExecResult exec_soc(const Request& req, Session& session, const Sink& sink);
-  ExecResult exec_field(const Request& req, Session& session, const Sink& sink);
-  ExecResult exec_memtest(const Request& req, Session& session,
-                          const Sink& sink);
-  ExecResult exec_lint(const Request& req);
+  using CancelFlag = std::atomic<bool>;
+  void run_session(const Request& req,
+                   const std::shared_ptr<CancelFlag>& cancel, const Sink& sink);
+  /// The (exit code, payload) of a work request.
+  VerdictCache::Verdict run(const Request& req, const CancelFlag& cancel,
+                            const Sink& sink);
   [[nodiscard]] std::string stats_payload() const;
 
   void emit(const Sink& sink, const std::string& line);
@@ -163,7 +152,7 @@ class Server {
 
   mutable std::mutex registry_mu_;
   std::condition_variable registry_cv_;
-  std::map<std::string, std::shared_ptr<Session>> sessions_;
+  std::map<std::string, std::shared_ptr<CancelFlag>> sessions_;
   std::uint64_t completed_ = 0;
 
   std::mutex emit_mu_;

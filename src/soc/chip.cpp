@@ -145,8 +145,7 @@ class Args {
 
 memsim::FaultClass class_by_name(const std::string& name,
                                  const std::string& where) {
-  for (const auto cls : memsim::all_fault_classes())
-    if (memsim::fault_class_name(cls) == name) return cls;
+  if (const auto cls = memsim::parse_fault_class(name)) return *cls;
   fail_at(where, "unknown fault class '" + name + "'");
 }
 

@@ -2,7 +2,6 @@
 
 #include "bist/datapath.h"
 #include "march/library.h"
-#include "march/parser.h"
 #include "mbist_pfsm/compiler.h"
 #include "netlist/tech_library.h"
 
@@ -23,14 +22,6 @@ ControllerKind controller_kind_by_name(std::string_view name) {
   if (name == "hardwired") return ControllerKind::Hardwired;
   throw SocError{"unknown controller kind '" + std::string{name} +
                  "' (expected ucode|pfsm|hardwired)"};
-}
-
-march::MarchAlgorithm resolve_algorithm(const std::string& text) {
-  try {
-    return march::by_name(text);
-  } catch (const std::out_of_range&) {
-    return march::parse(text, "custom");
-  }
 }
 
 TestPlan& TestPlan::assign(TestAssignment assignment) {
@@ -71,7 +62,7 @@ void TestPlan::validate(const SocDescription& chip) const {
                      "'"};
     march::MarchAlgorithm alg;
     try {
-      alg = resolve_algorithm(a.algorithm);
+      alg = march::resolve_algorithm(a.algorithm);
     } catch (const std::exception& e) {
       throw SocError{context + "cannot resolve algorithm: " + e.what()};
     }

@@ -32,10 +32,6 @@ enum class ControllerKind : std::uint8_t { Ucode, Pfsm, Hardwired };
 /// Parses "ucode" / "pfsm" / "hardwired".  Throws SocError otherwise.
 [[nodiscard]] ControllerKind controller_kind_by_name(std::string_view name);
 
-/// Resolves a library algorithm name ("March C+") or an inline DSL string.
-/// Throws (march::ParseError) when neither works.
-[[nodiscard]] march::MarchAlgorithm resolve_algorithm(const std::string& text);
-
 /// One per-instance test assignment.
 struct TestAssignment {
   std::string memory;     ///< instance name in the SocDescription

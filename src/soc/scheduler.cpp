@@ -13,6 +13,7 @@
 #include "common/cancel.h"
 #include "common/thread_pool.h"
 #include "diag/bitmap.h"
+#include "march/library.h"
 #include "mbist_hardwired/controller.h"
 #include "mbist_pfsm/controller.h"
 #include "mbist_ucode/controller.h"
@@ -81,7 +82,7 @@ std::vector<Task> compile_plan(const SocDescription& chip,
   const auto& assignments = plan.assignments();
   std::vector<Task> tasks(assignments.size());
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    tasks[i].alg = resolve_algorithm(assignments[i].algorithm);
+    tasks[i].alg = march::resolve_algorithm(assignments[i].algorithm);
     tasks[i].mem = chip.find(assignments[i].memory);
     tasks[i].weight = plan.effective_weight(assignments[i], *tasks[i].mem);
   }

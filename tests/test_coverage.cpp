@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "march/coverage.h"
 #include "march/library.h"
 
@@ -58,6 +60,34 @@ TEST(FaultUniverse, AfInstancesCoverAllFourTypes) {
 }
 
 // --- the headline coverage matrix -------------------------------------------
+
+// A coupling fault needs two cells and an address fault two words; the
+// samplers used to redraw forever on smaller geometries (ctest's timeout
+// is what catches a regression here).
+TEST(FaultUniverse, TooSmallGeometriesThrowInsteadOfSpinning) {
+  const MemoryGeometry one_cell{.address_bits = 0, .word_bits = 1,
+                                .num_ports = 1};
+  const MemoryGeometry one_word{.address_bits = 0, .word_bits = 2,
+                                .num_ports = 1};
+  for (const auto cls : {FaultClass::CFin, FaultClass::CFid, FaultClass::CFst,
+                         FaultClass::AF})
+    EXPECT_THROW((void)march::make_fault_universe(cls, one_cell, 1, 8),
+                 std::invalid_argument)
+        << memsim::fault_class_name(cls);
+  EXPECT_THROW(
+      (void)march::make_fault_universe(FaultClass::AF, one_word, 1, 8),
+      std::invalid_argument);
+  EXPECT_THROW((void)march::make_linked_cfid_universe(one_word, 1, 8),
+               std::invalid_argument);
+  EXPECT_THROW((void)march::make_intra_word_cf_universe(one_cell, 1, 8),
+               std::invalid_argument);
+  // What fits still samples: two bits of one word couple, one cell holds
+  // a stuck-at fault.
+  EXPECT_EQ(
+      march::make_fault_universe(FaultClass::CFin, one_word, 1, 8).size(), 8u);
+  EXPECT_EQ(
+      march::make_fault_universe(FaultClass::SAF, one_cell, 1, 8).size(), 2u);
+}
 
 TEST(Coverage, MarchCDetectsAllStaticClasses) {
   const auto c = march::march_c();

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -39,6 +40,7 @@
 #include "march/campaign.h"
 #include "march/coverage.h"
 #include "march/parser.h"
+#include "serve/protocol.h"
 #include "serve/server.h"
 #include "soc/chip.h"
 #include "soc/chip_json.h"
@@ -578,6 +580,50 @@ TEST(DocExamples, ServeErrorExamplesAnswerWithErrorEvents) {
       EXPECT_EQ(doc.find("event")->as_string(), "error") << line;
     }
   }
+}
+
+// The request table of docs/SERVE.md lists, per kind, exactly the fields
+// parse_request accepts: the first backticked word of each comma-separated
+// entry (commas inside parentheses belong to the entry).
+TEST(DocExamples, ServeRequestTableMatchesTheFieldTable) {
+  std::istringstream doc{
+      read_file(std::string{PMBIST_SOURCE_DIR} + "/docs/SERVE.md")};
+  int rows = 0;
+  for (std::string line; std::getline(doc, line);) {
+    if (!line.starts_with("| `")) continue;
+    std::vector<std::string> cells;
+    for (std::size_t at = 1, bar; (bar = line.find('|', at)) !=
+                                  std::string::npos;
+         at = bar + 1)
+      cells.push_back(line.substr(at, bar - at));
+    ASSERT_EQ(cells.size(), 3u) << line;
+    const std::string kind = cells[0].substr(cells[0].find('`') + 1,
+                                             cells[0].rfind('`') -
+                                                 cells[0].find('`') - 1);
+    std::set<std::string> documented;
+    int depth = 0;
+    bool named = false;
+    for (std::size_t i = 0; i < cells[2].size(); ++i) {
+      const char c = cells[2][i];
+      if (c == '(') ++depth;
+      if (c == ')') --depth;
+      if (c == ',' && depth == 0) named = false;
+      if (c == '`' && depth == 0 && !named) {
+        const std::size_t end = cells[2].find('`', i + 1);
+        documented.insert(cells[2].substr(i + 1, end - i - 1));
+        named = true;
+        i = end;
+      }
+    }
+    std::set<std::string> served;
+    for (const auto& c : serve::commands())
+      if (c.kind && serve::to_string(*c.kind) == kind)
+        for (const auto& f : c.fields)
+          if (f.surface != serve::Surface::Cli) served.emplace(f.json);
+    EXPECT_EQ(documented, served) << "docs/SERVE.md row of '" << kind << "'";
+    ++rows;
+  }
+  EXPECT_EQ(rows, 7);
 }
 
 TEST(DocExamples, KernelDocExists) {

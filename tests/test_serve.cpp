@@ -152,7 +152,7 @@ TEST(ServeProtocol, MemtestDefaultsMirrorTheCli) {
       serve::parse_request(R"({"id":"m","kind":"memtest"})");
   EXPECT_EQ(req.kind, serve::RequestKind::Memtest);
   EXPECT_EQ(req.algorithm, "March C");
-  EXPECT_EQ(req.size_mb, 256u);
+  EXPECT_EQ(req.size_bytes, 256ull << 20);
   EXPECT_EQ(req.passes, 1);
   EXPECT_EQ(req.backgrounds, 0);
   EXPECT_EQ(req.backend, backend::BackendKind::HostRam);
@@ -163,7 +163,7 @@ TEST(ServeProtocol, MemtestDefaultsMirrorTheCli) {
       R"("passes":2,"backgrounds":3,"jobs":4,"backend":"sim",)"
       R"("max_failures":8})");
   EXPECT_EQ(full.algorithm, "MATS+");
-  EXPECT_EQ(full.size_mb, 64u);
+  EXPECT_EQ(full.size_bytes, 64ull << 20);
   EXPECT_EQ(full.passes, 2);
   EXPECT_EQ(full.backgrounds, 3);
   EXPECT_EQ(full.jobs, 4);

@@ -1,264 +1,91 @@
 // pmbist — command-line front end to the programmable-MBIST library.
 //
-//   pmbist list
-//       Library algorithms with complexity and qualification verdicts.
-//   pmbist assemble  <algorithm|dsl> [--arch ucode|pfsm] [--flat]
-//       Compile an algorithm and print the program listing.
-//   pmbist qualify   <algorithm|dsl>
-//       Static detection guarantees per fault class.
-//   pmbist run       <algorithm|dsl> [--arch ucode|pfsm|hardwired]
-//                    [--addr-bits N] [--word-bits N] [--ports N]
-//                    [--fault CLASS] [--seed N]
-//       Cycle-accurate BIST run; optionally inject one sampled fault.
-//   pmbist area      [--addr-bits N] [--word-bits N] [--ports N]
-//       Area report of all architectures for a geometry.
-//   pmbist coverage  <algorithm|dsl> [--addr-bits N] [--samples N]
-//       Fault-simulation campaign for one algorithm.
-//   pmbist export    <algorithm|dsl> [--word-bits N] [--ports N]
-//       Emit the hardwired controller FSM for the algorithm as
-//       synthesizable Verilog on stdout.
-//   pmbist export-decoder
-//       Emit the microcode instruction decoder (minimized covers) and the
-//       programmable-FSM lower controller as Verilog.
-//   pmbist soc       [--chip FILE] [--jobs N] [--power-budget W]
-//                    [--max-failures N] [--certify] [--emit-schedule F]
-//       Whole-chip BIST: schedule and run every memory of a chip file
-//       (docs/SOC.md) under power and controller-sharing constraints.
-//       Without --chip, runs the built-in 9-memory demo chip.  --certify
-//       re-verifies the schedule with the independent certificate checker;
-//       --emit-schedule writes it as a .schedule file.
-//   pmbist field     [--chip FILE] [--profile FILE] [--jobs N]
-//                    [--max-failures N] [--certify] [--emit-schedule F]
-//       In-field online testing: pack preemptible transparent BIST
-//       sessions into the idle windows of a mission profile
-//       (docs/FIELD.md).  Without --chip/--profile, runs the built-in
-//       demo chip against the built-in demo profile.  --certify and
-//       --emit-schedule work as in `soc` (.fieldsched file).
-//   pmbist memtest   [<algorithm|dsl>] [--size BYTES[K|M|G]] [--passes N]
-//                    [--backgrounds N] [--jobs N] [--backend sim|hostram]
-//                    [--huge-pages] [--inject]
-//       March-test a large block of host RAM (docs/BACKEND.md): expand
-//       the algorithm (default March C) into a march stream and execute
-//       it against an mmap'd buffer, sharded across worker threads.
-//       The deterministic report (signature, op counts, verdict) goes to
-//       stdout; sustained read/write GB/s go to stderr.  --inject flips
-//       one bit mid-run as a self-test (the run must FAIL).
-//   pmbist lint      <file|algorithm|dsl> [--json] [--storage-depth N]
-//                    [--buffer-depth N] [--chip FILE] [--profile FILE]
-//                    [--certify]
-//       Static verifier: march algorithms, microcode hex images, pFSM hex
-//       images, chip files, mission profiles and emitted schedules (kind
-//       auto-detected; docs/LINT.md lists the diagnostic codes).  Exits
-//       nonzero when errors are found.
-//   pmbist serve     [--port N] [--sessions N] [--cache-mb N]
-//       Long-running BIST service (docs/SERVE.md): newline-delimited JSON
-//       requests in, JSON events out.  Without --port, reads stdin and
-//       writes stdout (batch/pipe mode); with --port, serves loopback TCP
-//       (0 = ephemeral, bound port printed on stderr).
+// `pmbist --help` lists the commands and their options.  Each command's
+// options are rows of one field table (src/serve/protocol.cpp), the same
+// rows `pmbist serve` reads its requests through: coverage, soc, field,
+// memtest and lint parse into a serve::Request and run serve::execute, so
+// their stdout is byte-identical to the serve payloads by construction.
+// Host-dependent lines (wall time, memtest throughput), certificate
+// reports and notices go to stderr.
 //
 // Exit codes are uniform across subcommands: 0 = success, 1 = the checked
 // artifact failed (BIST mismatch, unhealthy chip, lint errors), 2 = usage
 // or input errors.  `pmbist --help` (or `<command> --help`) prints the
 // usage text on stdout and exits 0.
-//
-// `assemble --hex` prints a portable microcode hex image; `run --program
-// <file>` loads such an image into the microcode controller instead of
-// assembling an algorithm.  `--jobs N` sets the worker count for every
-// fault-simulation / qualification path (0 = all cores, 1 = serial) and
-// `--kernel scalar|packed` selects the campaign inner loop (default: the
-// packed 64-lane PPSFP kernel, docs/KERNEL.md); results are identical for
-// any combination.
-//
-// <algorithm|dsl> is a library name ("March C+") or an inline DSL string
-// ("any(w0); up(r0,w1); ...").
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "backend/memtest.h"
 #include "bist/session.h"
 #include "common/json.h"
-#include "lint/certify.h"
+#include "field/profile.h"
 #include "lint/diagnostics.h"
-#include "lint/driver.h"
 #include "lint/fix.h"
 #include "march/analysis.h"
-#include "march/campaign.h"
+#include "march/coverage.h"
 #include "march/library.h"
-#include "march/parser.h"
 #include "mbist_hardwired/area.h"
 #include "mbist_hardwired/controller.h"
+#include "mbist_hardwired/generator.h"
 #include "mbist_pfsm/area.h"
+#include "mbist_pfsm/compiler.h"
 #include "mbist_pfsm/controller.h"
 #include "mbist_ucode/area.h"
+#include "mbist_ucode/assembler.h"
 #include "mbist_ucode/controller.h"
 #include "mbist_ucode/rtl.h"
 #include "netlist/verilog.h"
-#include "field/manager.h"
-#include "field/profile.h"
-#include "field/schedule_io.h"
+#include "serve/execute.h"
 #include "serve/server.h"
 #include "soc/chip.h"
-#include "soc/schedule_io.h"
-#include "soc/scheduler.h"
 
 namespace {
 
 using namespace pmbist;
 
-struct Options {
-  std::string command;
-  std::string algorithm;
-  std::string arch = "ucode";
-  int addr_bits = 8;
-  int word_bits = 1;
-  int ports = 1;
-  int samples = 64;
-  int jobs = 0;
-  march::CampaignKernel kernel = march::CampaignKernel::Auto;
-  std::uint64_t seed = 1;
-  std::string fault_class;
-  std::string program_file;
-  std::string chip_file;
-  std::string profile_file;
-  double power_budget = -1.0;  ///< <0 = keep the chip file's budget
-  std::size_t max_failures = 1024;
-  bool flat = false;
-  bool hex = false;
-  bool json = false;
-  int storage_depth = 32;
-  int buffer_depth = 16;
-  std::string against;  ///< march source for translation validation
-  bool fix = false;     ///< apply mechanical fixes and rewrite the file
-  bool certify = false;         ///< run the schedule certificate checker
-  std::string emit_schedule;    ///< soc/field: write the schedule file here
-  int port = -1;        ///< serve: TCP port (-1 = pipe mode, 0 = ephemeral)
-  int sessions = 2;     ///< serve: concurrent session workers
-  int cache_mb = 64;    ///< serve: stream-cache byte budget in MiB
-  std::string payload_dir;  ///< serve pipe mode: mirror payloads here
-  std::string req_kind = "lint";  ///< submit: request kind
-  std::string req_id = "cli";     ///< submit: client-chosen request id
-  std::string kernel_name;        ///< raw --kernel text (submit forwards it)
-  std::string size_spec = "256M";  ///< memtest: buffer size text
-  int passes = 1;                  ///< memtest: full sweeps of the buffer
-  int backgrounds = 0;      ///< memtest: data backgrounds (0 = all standard)
-  std::string backend_name;  ///< soc/field/memtest: --backend sim|hostram
-  bool huge_pages = false;   ///< memtest: request huge pages (hostram)
-  bool inject = false;       ///< memtest: flip one bit mid-run (self-test)
-};
-
 void print_usage(std::FILE* out) {
+  std::fprintf(out,
+               "usage: pmbist <command> [<argument>] [options]\n\ncommands:\n");
+  for (const serve::Command& c : serve::commands())
+    if (!c.name.empty())
+      std::fprintf(out, "  %-15s %s\n", std::string{c.name}.c_str(),
+                   std::string{c.summary}.c_str());
+  std::fprintf(out, "\noptions by command:\n");
+  for (const serve::Command& c : serve::commands()) {
+    if (c.name.empty() || c.fields.empty()) continue;
+    std::fprintf(out, "  %s", std::string{c.name}.c_str());
+    for (const serve::Field& f : c.fields)
+      if (f.flag.empty() && f.surface != serve::Surface::Serve)
+        std::fprintf(out, f.required ? " %s" : " [%s]",
+                     std::string{f.metavar}.c_str());
+    std::fprintf(out, "\n");
+    for (const serve::Field& f : c.fields) {
+      if (f.flag.empty() || f.surface == serve::Surface::Serve) continue;
+      std::string spelling{f.flag};
+      if (f.type != serve::FieldType::Bool)
+        spelling.append(" ").append(f.metavar);
+      std::string help{f.help};
+      if (!f.fallback.empty())
+        help.append(" (default ").append(f.fallback).append(")");
+      std::fprintf(out, "    %-28s %s\n", spelling.c_str(), help.c_str());
+    }
+  }
   std::fprintf(
       out,
-      "usage: pmbist <command> [<algorithm|dsl>] [options]\n"
-      "\n"
-      "commands:\n"
-      "  list            library algorithms, complexity, qualification\n"
-      "  assemble        compile an algorithm, print the program listing\n"
-      "  qualify         static detection guarantees per fault class\n"
-      "  run             cycle-accurate BIST run on one memory\n"
-      "  area            area report of all architectures for a geometry\n"
-      "  coverage        fault-simulation campaign for one algorithm\n"
-      "  export          hardwired/programmable controller as Verilog\n"
-      "  export-decoder  microcode decoder + pFSM lower controller Verilog\n"
-      "  soc             whole-chip scheduled BIST from a chip file\n"
-      "  field           in-field transparent BIST inside idle windows\n"
-      "  memtest         march-test a block of host RAM (docs/BACKEND.md)\n"
-      "  lint            static verifier for march / ucode / pFSM / chip /\n"
-      "                  mission-profile inputs\n"
-      "  serve           long-running BIST service (JSON requests in, JSON\n"
-      "                  events out; docs/SERVE.md)\n"
-      "  submit          send one request to a running `pmbist serve --port`\n"
-      "                  and stream its events to stdout\n"
-      "\n"
-      "options:\n"
-      "  --arch ucode|pfsm|hardwired   controller architecture\n"
-      "  --addr-bits N  --word-bits N  --ports N\n"
-      "  --fault CLASS (SAF,TF,CFin,CFid,CFst,AF,SOF,DRF,IRF,WDF,RDF,DRDF)\n"
-      "  --samples N   --seed N        --flat (no Repeat fold)\n"
-      "  --program FILE  hex microcode image for run\n"
-      "  --jobs N      worker count, soc/campaign/qualifier (0 = all cores)\n"
-      "  --kernel scalar|packed  campaign inner loop (default packed: 64\n"
-      "                fault instances per pass; identical results)\n"
-      "\n"
-      "soc options:\n"
-      "  --chip FILE        chip description (docs/SOC.md; default: demo)\n"
-      "  --power-budget W   override the chip file's power budget\n"
-      "  --max-failures N   per-session failure-log capacity\n"
-      "  --certify          re-verify the schedule with the certificate\n"
-      "                     checker (report on stderr; exit 1 on errors)\n"
-      "  --emit-schedule F  write the computed schedule to F (.schedule)\n"
-      "  --backend sim|hostram  memory-under-test backend (default sim;\n"
-      "                     hostram needs a fault-free chip)\n"
-      "\n"
-      "field options:\n"
-      "  --chip FILE        chip description (docs/SOC.md; default: demo)\n"
-      "  --profile FILE     mission profile (docs/FIELD.md; default: demo)\n"
-      "  --max-failures N   per-instance failure-log capacity\n"
-      "  --certify          re-verify the session table with the certificate\n"
-      "                     checker (report on stderr; exit 1 on errors)\n"
-      "  --emit-schedule F  write the session table to F (.fieldsched)\n"
-      "  --backend sim|hostram  memory-under-test backend (default sim;\n"
-      "                     hostram needs a fault-free chip)\n"
-      "\n"
-      "memtest options (positional algorithm defaults to March C):\n"
-      "  --size BYTES       buffer size, K/M/G suffixes (default 256M);\n"
-      "                     rounded down to a power-of-two word count\n"
-      "  --passes N         full sweeps of the buffer (default 1)\n"
-      "  --backgrounds N    data backgrounds, 0 = all 7 standard (default)\n"
-      "  --backend sim|hostram  hostram (default) maps anonymous host\n"
-      "                     memory; sim runs the behavioral simulator\n"
-      "  --huge-pages       ask for huge pages (graceful fallback)\n"
-      "  --inject           flip one bit mid-run; the run must FAIL\n"
-      "  --max-failures N   mismatch-log capacity (default 1024)\n"
-      "\n"
-      "lint options:\n"
-      "  --json             machine-readable diagnostics on stdout\n"
-      "  --chip FILE        chip file a mission profile or schedule is\n"
-      "                     checked against\n"
-      "  --profile FILE     mission profile a field schedule is certified\n"
-      "                     against\n"
-      "  --storage-depth N  microcode storage words assumed (default 32)\n"
-      "  --buffer-depth N   pFSM buffer rows assumed (default 16)\n"
-      "  --against SRC      translation validation: prove a controller image\n"
-      "                     realizes SRC (march file, library name or DSL)\n"
-      "  --certify          chip/profile inputs: also compute and certify\n"
-      "                     the schedule behind the input (SC codes)\n"
-      "  --fix              rewrite the input file with the mechanical fixes\n"
-      "                     (dead code / unused rows / no-op sweeps / dead\n"
-      "                     spares / infeasible power budgets)\n"
-      "\n"
-      "serve options:\n"
-      "  --port N           serve loopback TCP (0 = ephemeral port; default:\n"
-      "                     pipe mode on stdin/stdout)\n"
-      "  --sessions N       concurrent session workers (default 2)\n"
-      "  --cache-mb N       op-stream cache budget in MiB (default 64)\n"
-      "  --payload-dir DIR  pipe mode: mirror result payloads to DIR/<id>.out\n"
-      "  --certify          certify every soc/field schedule before replying\n"
-      "                     (a violation fails the request with an error)\n"
-      "\n"
-      "submit options (plus the flags of the mirrored command):\n"
-      "  --port N           the serve loopback TCP port (required)\n"
-      "  --req KIND         campaign|soc|field|memtest|lint|cancel|stats\n"
-      "                     (default lint); the positional argument is the\n"
-      "                     lint input, campaign/memtest algorithm, or\n"
-      "                     cancel target\n"
-      "  --id ID            client-chosen request id (default cli)\n"
-      "                     exit code: the result event's exit field;\n"
-      "                     2 on error events, 1 on cancelled\n"
+      "\n`submit` also takes the options of the --req kind's command that\n"
+      "serve accepts; its exit code is the result event's exit field, 2 on\n"
+      "error events, 1 on cancelled.\n"
       "\n"
       "exit codes: 0 success, 1 check failed, 2 usage/input error\n"
       "`pmbist --help` or `pmbist <command> --help` prints this text.\n");
@@ -270,103 +97,15 @@ void print_usage(std::FILE* out) {
   std::exit(2);
 }
 
-Options parse_args(int argc, char** argv) {
-  Options opt;
-  // `--help` anywhere (and the bare `help` command) wins over everything
-  // else: print the usage text on stdout and exit 0, uniformly across
-  // subcommands.
-  for (int a = 1; a < argc; ++a) {
-    if (std::strcmp(argv[a], "--help") == 0 || std::strcmp(argv[a], "-h") == 0) {
-      print_usage(stdout);
-      std::exit(0);
-    }
-  }
-  if (argc < 2) usage();
-  opt.command = argv[1];
-  if (opt.command == "help") {
-    print_usage(stdout);
-    std::exit(0);
-  }
-  int i = 2;
-  if (i < argc && argv[i][0] != '-') opt.algorithm = argv[i++];
-  for (; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
-      return argv[++i];
-    };
-    if (arg == "--arch") opt.arch = value();
-    else if (arg == "--addr-bits") opt.addr_bits = std::atoi(value());
-    else if (arg == "--word-bits") opt.word_bits = std::atoi(value());
-    else if (arg == "--ports") opt.ports = std::atoi(value());
-    else if (arg == "--samples") opt.samples = std::atoi(value());
-    else if (arg == "--jobs") opt.jobs = std::atoi(value());
-    else if (arg == "--kernel") {
-      opt.kernel_name = value();
-      const auto kernel = march::parse_kernel(opt.kernel_name);
-      if (!kernel) usage("--kernel expects scalar, packed or auto");
-      opt.kernel = *kernel;
-    }
-    else if (arg == "--seed") opt.seed = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--fault") opt.fault_class = value();
-    else if (arg == "--program") opt.program_file = value();
-    else if (arg == "--chip") opt.chip_file = value();
-    else if (arg == "--profile") opt.profile_file = value();
-    else if (arg == "--power-budget") opt.power_budget = std::atof(value());
-    else if (arg == "--max-failures")
-      opt.max_failures = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--flat") opt.flat = true;
-    else if (arg == "--hex") opt.hex = true;
-    else if (arg == "--json") opt.json = true;
-    else if (arg == "--storage-depth") opt.storage_depth = std::atoi(value());
-    else if (arg == "--buffer-depth") opt.buffer_depth = std::atoi(value());
-    else if (arg == "--against") opt.against = value();
-    else if (arg == "--fix") opt.fix = true;
-    else if (arg == "--certify") opt.certify = true;
-    else if (arg == "--emit-schedule") opt.emit_schedule = value();
-    else if (arg == "--port") opt.port = std::atoi(value());
-    else if (arg == "--sessions") opt.sessions = std::atoi(value());
-    else if (arg == "--cache-mb") opt.cache_mb = std::atoi(value());
-    else if (arg == "--payload-dir") opt.payload_dir = value();
-    else if (arg == "--req") opt.req_kind = value();
-    else if (arg == "--id") opt.req_id = value();
-    else if (arg == "--size") opt.size_spec = value();
-    else if (arg == "--passes") opt.passes = std::atoi(value());
-    else if (arg == "--backgrounds") opt.backgrounds = std::atoi(value());
-    else if (arg == "--backend") opt.backend_name = value();
-    else if (arg == "--huge-pages") opt.huge_pages = true;
-    else if (arg == "--inject") opt.inject = true;
-    else usage(("unknown option " + arg).c_str());
-  }
-  return opt;
+std::string read_file(const std::string& path) {
+  std::ifstream is{path};
+  if (!is) usage(("cannot open " + path).c_str());
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
 }
 
-/// Resolves a `--backend` flag; empty text keeps the command's default.
-backend::BackendKind backend_of(const Options& opt,
-                                backend::BackendKind fallback) {
-  if (opt.backend_name.empty()) return fallback;
-  const auto parsed = backend::parse_backend(opt.backend_name);
-  if (!parsed)
-    usage(("--backend expects sim or hostram, not " + opt.backend_name)
-              .c_str());
-  return *parsed;
-}
-
-march::MarchAlgorithm resolve_algorithm(const std::string& name) {
-  try {
-    return march::by_name(name);
-  } catch (const std::out_of_range&) {
-    return march::parse(name, "custom");
-  }
-}
-
-memsim::MemoryGeometry geometry_of(const Options& opt) {
-  return memsim::MemoryGeometry{.address_bits = opt.addr_bits,
-                                .word_bits = opt.word_bits,
-                                .num_ports = opt.ports};
-}
-
-int cmd_list(const Options& opt) {
+int cmd_list(const serve::Request& opt) {
   const auto algorithms = march::all_algorithms();
   std::printf("%-16s %5s %8s %8s\n", "algorithm", "ops/n", "ucode", "pFSM");
   for (const auto& alg : algorithms) {
@@ -386,8 +125,8 @@ int cmd_list(const Options& opt) {
   return 0;
 }
 
-int cmd_assemble(const Options& opt) {
-  const auto alg = resolve_algorithm(opt.algorithm);
+int cmd_assemble(const serve::Request& opt) {
+  const auto alg = march::resolve_algorithm(opt.algorithm);
   if (opt.arch == "pfsm") {
     const auto r = mbist_pfsm::compile(alg);
     std::printf("%s", opt.hex ? r.program.to_hex_text().c_str()
@@ -401,8 +140,8 @@ int cmd_assemble(const Options& opt) {
   return 0;
 }
 
-int cmd_qualify(const Options& opt) {
-  const auto alg = resolve_algorithm(opt.algorithm);
+int cmd_qualify(const serve::Request& opt) {
+  const auto alg = march::resolve_algorithm(opt.algorithm);
   std::printf("%s = %s\n\n", alg.name().c_str(), alg.to_string().c_str());
   const auto verdicts = march::analyze_all(alg, opt.jobs);
   for (auto cls : memsim::all_fault_classes()) {
@@ -413,25 +152,13 @@ int cmd_qualify(const Options& opt) {
   return 0;
 }
 
-memsim::FaultClass class_by_name(const std::string& name) {
-  for (auto cls : memsim::all_fault_classes())
-    if (memsim::fault_class_name(cls) == name) return cls;
-  usage(("unknown fault class " + name).c_str());
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream is{path};
-  if (!is) usage(("cannot open " + path).c_str());
-  std::ostringstream os;
-  os << is.rdbuf();
-  return os.str();
-}
-
-int cmd_run(const Options& opt) {
+int cmd_run(const serve::Request& opt) {
   const bool from_image = !opt.program_file.empty();
+  if (!from_image && opt.algorithm.empty())
+    usage("run needs an algorithm name or DSL string, or --program FILE");
   const auto alg = from_image ? march::march_c()  // placeholder, unused
-                              : resolve_algorithm(opt.algorithm);
-  const auto geometry = geometry_of(opt);
+                              : march::resolve_algorithm(opt.algorithm);
+  const auto geometry = opt.geometry;
 
   std::unique_ptr<bist::Controller> controller;
   if (from_image) {
@@ -462,9 +189,12 @@ int cmd_run(const Options& opt) {
   }
 
   memsim::FaultyMemory memory{geometry, opt.seed};
-  if (!opt.fault_class.empty()) {
-    const auto universe = march::make_fault_universe(
-        class_by_name(opt.fault_class), geometry, opt.seed, 64);
+  if (opt.fault_classes.size() > 1) usage("run injects one fault: one --fault");
+  if (!opt.fault_classes.empty()) {
+    const auto cls = memsim::parse_fault_class(opt.fault_classes[0]);
+    if (!cls) usage(("unknown fault class " + opt.fault_classes[0]).c_str());
+    const auto universe =
+        march::make_fault_universe(*cls, geometry, opt.seed, 64);
     const auto& fault = universe[opt.seed % universe.size()];
     memory.add_fault(fault);
     std::printf("injected: %s\n", memsim::describe(fault).c_str());
@@ -489,8 +219,8 @@ int cmd_run(const Options& opt) {
   return result.passed() ? 0 : 1;
 }
 
-int cmd_area(const Options& opt) {
-  const auto geometry = geometry_of(opt);
+int cmd_area(const serve::Request& opt) {
+  const auto geometry = opt.geometry;
   const auto lib = netlist::TechLibrary::cmos5s();
 
   mbist_ucode::AreaConfig uc{.geometry = geometry};
@@ -506,20 +236,6 @@ int cmd_area(const Options& opt) {
     std::printf("hardwired %-12s: %8.1f GE  %10.0f um^2\n",
                 alg.name().c_str(), r.total_ge(lib), r.total_area_um2(lib));
   }
-  return 0;
-}
-
-int cmd_coverage(const Options& opt) {
-  const auto alg = resolve_algorithm(opt.algorithm);
-  const auto geometry = geometry_of(opt);
-  const march::CoverageOptions copts{.seed = opt.seed,
-                                     .max_instances_per_class = opt.samples,
-                                     .jobs = opt.jobs,
-                                     .kernel = opt.kernel};
-  const std::vector<march::MarchAlgorithm> algs{alg};
-  const auto& classes = memsim::all_fault_classes();
-  const auto rows = march::coverage_matrix(algs, classes, geometry, copts);
-  std::printf("%s", march::format_coverage_table(rows, classes).c_str());
   return 0;
 }
 
@@ -539,19 +255,19 @@ int cmd_export_decoder() {
   return 0;
 }
 
-int cmd_export(const Options& opt) {
+int cmd_export(const serve::Request& opt) {
   if (opt.algorithm.empty()) {
     // No algorithm: emit the full programmable unit (storage, decoder,
     // datapath) — it runs any algorithm, so none is needed.
     std::printf("%s",
                 mbist_ucode::emit_controller_rtl(
-                    {.geometry = geometry_of(opt), .storage_depth = 32})
+                    {.geometry = opt.geometry, .storage_depth = 32})
                     .c_str());
     return 0;
   }
-  const auto alg = resolve_algorithm(opt.algorithm);
+  const auto alg = march::resolve_algorithm(opt.algorithm);
   const auto fsm = mbist_hardwired::generate_fsm(
-      alg, mbist_hardwired::HardwiredFeatures::for_geometry(geometry_of(opt)));
+      alg, mbist_hardwired::HardwiredFeatures::for_geometry(opt.geometry));
   std::printf("%s", netlist::emit_fsm_module(
                         fsm, "bist_" + netlist::verilog_identifier(
                                            alg.name()) + "_ctrl")
@@ -559,188 +275,10 @@ int cmd_export(const Options& opt) {
   return 0;
 }
 
-int cmd_lint(const Options& opt) {
-  // The positional argument is a path when it opens as a file, otherwise
-  // inline text (a library algorithm name or DSL string).
-  std::string text;
-  std::string unit;
-  if (std::ifstream probe{opt.algorithm}; probe) {
-    std::ostringstream os;
-    os << probe.rdbuf();
-    text = os.str();
-    unit = opt.algorithm;
-  } else {
-    text = opt.algorithm;
-    unit = "input";
-  }
-  if (opt.fix) {
-    if (unit == "input") {
-      std::fprintf(stderr,
-                   "error: --fix rewrites the input in place and needs a "
-                   "file argument\n");
-      return 2;
-    }
-    const lint::FixResult fixed = lint::fix_text(text, unit);
-    std::printf("%s: %s\n", unit.c_str(), fixed.summary.c_str());
-    if (fixed.changed) {
-      std::ofstream out{opt.algorithm, std::ios::trunc};
-      if (!out) {
-        std::fprintf(stderr, "error: cannot rewrite %s\n",
-                     opt.algorithm.c_str());
-        return 2;
-      }
-      out << fixed.text;
-      text = fixed.text;
-    }
-  }
-  // --against accepts a path (e.g. a .march file) or inline text, like the
-  // positional input.
-  std::string against = opt.against;
-  if (!against.empty()) {
-    if (std::ifstream probe{against}; probe) {
-      std::ostringstream os;
-      os << probe.rdbuf();
-      against = os.str();
-    }
-  }
-  // --chip and --profile (for mission profiles and schedules) are always
-  // paths.
-  std::string chip_text;
-  if (!opt.chip_file.empty()) chip_text = read_file(opt.chip_file);
-  std::string profile_text;
-  if (!opt.profile_file.empty()) profile_text = read_file(opt.profile_file);
-  const lint::LintOptions lopts{.storage_depth = opt.storage_depth,
-                                .buffer_depth = opt.buffer_depth,
-                                .chip = chip_text,
-                                .profile = profile_text,
-                                .certify = opt.certify,
-                                .against = against};
-  const lint::Report report = lint::lint_text(text, unit, lopts);
-  // format_cli is shared with the serve layer: serve lint payloads are
-  // byte-identical to this stdout by construction.
-  std::fputs(lint::format_cli(report, unit, opt.json).c_str(), stdout);
-  return report.has_errors() ? 1 : 0;
-}
-
-/// Writes `text` to `path` (for --emit-schedule); exits 2 when the file
-/// cannot be created.
-void write_file(const std::string& path, const std::string& text) {
-  std::ofstream out{path, std::ios::trunc};
-  if (!out) usage(("cannot write " + path).c_str());
-  out << text;
-}
-
-/// Prints a certificate report on stderr — stdout stays byte-identical to
-/// the serve payloads — and reports whether the schedule failed.
-bool certificate_failed(const lint::Report& report, const char* what) {
-  if (report.empty()) {
-    std::fprintf(stderr, "certificate: %s OK\n", what);
-    return false;
-  }
-  std::fputs(lint::format_text(report).c_str(), stderr);
-  return report.has_errors();
-}
-
-int cmd_soc(const Options& opt) {
-  soc::ChipFile chip;
-  if (opt.chip_file.empty()) {
-    chip = {soc::demo_soc(), soc::demo_plan()};
-    std::printf("no --chip given: running the built-in demo chip\n");
-  } else {
-    chip = soc::load_chip_file(opt.chip_file);
-  }
-  if (opt.power_budget >= 0.0) chip.plan.set_power_budget(opt.power_budget);
-
-  const auto result = soc::run_soc(
-      chip.description, chip.plan,
-      {.jobs = opt.jobs,
-       .max_failures = opt.max_failures,
-       .backend = backend_of(opt, backend::BackendKind::Sim)});
-
-  // The report body is shared with the serve layer (byte-identical serve
-  // payloads); wall time is host noise, so it goes to stderr.
-  std::fputs(soc::format_soc_report(chip.description, chip.plan, result)
-                 .c_str(),
-             stdout);
-  std::fprintf(stderr, "wall %.3f s\n", result.wall_seconds);
-  if (!opt.emit_schedule.empty())
-    write_file(opt.emit_schedule,
-               soc::to_schedule_text("soc", result.schedule));
-  if (opt.certify &&
-      certificate_failed(
-          lint::certify_soc(chip.description, chip.plan, result.schedule),
-          "soc schedule"))
-    return 1;
-  return result.all_healthy() ? 0 : 1;
-}
-
-int cmd_field(const Options& opt) {
-  soc::ChipFile chip;
-  field::MissionProfile profile;
-  if (opt.chip_file.empty()) {
-    chip = {soc::demo_soc(), soc::demo_plan()};
-    std::printf("no --chip given: running the built-in demo chip\n");
-  } else {
-    chip = soc::load_chip_file(opt.chip_file);
-  }
-  if (opt.profile_file.empty()) {
-    profile = field::demo_profile();
-    std::printf("no --profile given: using the built-in demo profile\n");
-  } else {
-    profile = field::load_profile_file(opt.profile_file);
-  }
-
-  const auto report = field::run_field(
-      chip.description, chip.plan, profile,
-      {.jobs = opt.jobs,
-       .max_failures = opt.max_failures,
-       .backend = backend_of(opt, backend::BackendKind::Sim)});
-
-  // Shared with the serve layer, same as cmd_soc.
-  std::fputs(field::format_field_report(report).c_str(), stdout);
-  std::fprintf(stderr, "wall %.3f s\n", report.wall_seconds);
-  if (!opt.emit_schedule.empty())
-    write_file(opt.emit_schedule,
-               field::to_field_schedule_text("field", report.sessions));
-  if (opt.certify &&
-      certificate_failed(
-          lint::certify_field(chip.description, chip.plan, profile, report),
-          "field schedule"))
-    return 1;
-  return report.all_healthy() ? 0 : 1;
-}
-
-int cmd_memtest(const Options& opt) {
-  const auto alg = resolve_algorithm(
-      opt.algorithm.empty() ? "March C" : opt.algorithm);
-  const auto size = backend::parse_size_bytes(opt.size_spec);
-  if (!size)
-    usage(("--size expects BYTES with an optional K/M/G suffix, not " +
-           opt.size_spec)
-              .c_str());
-  backend::MemtestOptions mopts;
-  mopts.size_bytes = *size;
-  mopts.passes = opt.passes;
-  mopts.backgrounds = opt.backgrounds;
-  mopts.jobs = opt.jobs;
-  mopts.backend = backend_of(opt, backend::BackendKind::HostRam);
-  mopts.huge_pages = opt.huge_pages;
-  mopts.max_failures = opt.max_failures;
-  mopts.inject_error = opt.inject;
-  const auto report = backend::run_memtest(alg, mopts);
-  // The deterministic report is shared with the serve layer (byte-identical
-  // payloads); throughput is host noise, so it goes to stderr like the
-  // soc/field wall line.
-  std::fputs(backend::format_memtest_report(report).c_str(), stdout);
-  std::fputs(backend::format_memtest_throughput(report).c_str(), stderr);
-  return report.passed() ? 0 : 1;
-}
-
-int cmd_serve(const Options& opt) {
+int cmd_serve(const serve::Request& opt) {
   serve::ServerOptions sopts;
   sopts.sessions = opt.sessions;
-  sopts.stream_cache_bytes =
-      static_cast<std::size_t>(opt.cache_mb < 0 ? 0 : opt.cache_mb) << 20;
+  sopts.stream_cache_bytes = static_cast<std::size_t>(opt.cache_mb) << 20;
   sopts.certify = opt.certify;
   serve::Server server{sopts};
 
@@ -762,122 +300,10 @@ int cmd_serve(const Options& opt) {
   return 0;
 }
 
-/// Builds the serve request line a `pmbist submit` invocation stands for.
-/// Field names and defaults mirror src/serve/protocol.cpp exactly; fields
-/// a kind does not whitelist are never emitted (the server hard-errors on
-/// unknown fields).
-std::string submit_request_line(const Options& opt) {
-  namespace json = common::json;
-  const std::string& kind = opt.req_kind;
-  if (kind != "campaign" && kind != "soc" && kind != "field" &&
-      kind != "memtest" && kind != "lint" && kind != "cancel" &&
-      kind != "stats")
-    usage(("--req expects campaign, soc, field, memtest, lint, cancel or "
-           "stats, not " + kind).c_str());
-
-  // Like cmd_lint's positional: a path when it opens, else inline text.
-  auto file_or_inline = [](const std::string& arg, std::string* unit) {
-    if (std::ifstream probe{arg}; probe) {
-      std::ostringstream os;
-      os << probe.rdbuf();
-      if (unit != nullptr) *unit = arg;
-      return os.str();
-    }
-    return arg;
-  };
-
-  json::Value req = json::Value::object();
-  req.set("id", json::Value::string(opt.req_id));
-  req.set("kind", json::Value::string(kind));
-  if (kind == "lint") {
-    if (opt.algorithm.empty())
-      usage("submit --req lint needs an input file or inline text");
-    std::string unit = "input";
-    req.set("input",
-            json::Value::string(file_or_inline(opt.algorithm, &unit)));
-    req.set("unit", json::Value::string(unit));
-    if (opt.json) req.set("json", json::Value::boolean(true));
-    req.set("storage_depth",
-            json::Value::number(static_cast<std::int64_t>(opt.storage_depth)));
-    req.set("buffer_depth",
-            json::Value::number(static_cast<std::int64_t>(opt.buffer_depth)));
-    if (!opt.against.empty())
-      req.set("against",
-              json::Value::string(file_or_inline(opt.against, nullptr)));
-    if (!opt.chip_file.empty())
-      req.set("chip", json::Value::string(read_file(opt.chip_file)));
-    if (!opt.profile_file.empty())
-      req.set("profile", json::Value::string(read_file(opt.profile_file)));
-    if (opt.certify) req.set("certify", json::Value::boolean(true));
-  } else if (kind == "campaign") {
-    if (opt.algorithm.empty())
-      usage("submit --req campaign needs an algorithm name or DSL string");
-    req.set("algorithm", json::Value::string(opt.algorithm));
-    req.set("addr_bits",
-            json::Value::number(static_cast<std::int64_t>(opt.addr_bits)));
-    req.set("word_bits",
-            json::Value::number(static_cast<std::int64_t>(opt.word_bits)));
-    req.set("ports",
-            json::Value::number(static_cast<std::int64_t>(opt.ports)));
-    req.set("samples",
-            json::Value::number(static_cast<std::int64_t>(opt.samples)));
-    req.set("seed", json::Value::number(opt.seed));
-    req.set("jobs", json::Value::number(static_cast<std::int64_t>(opt.jobs)));
-    if (!opt.kernel_name.empty())
-      req.set("kernel", json::Value::string(opt.kernel_name));
-    if (!opt.fault_class.empty()) {
-      json::Value classes = json::Value::array();
-      classes.push(json::Value::string(opt.fault_class));
-      req.set("classes", std::move(classes));
-    }
-  } else if (kind == "soc" || kind == "field") {
-    if (opt.chip_file.empty())
-      usage(("submit --req " + kind + " needs --chip FILE").c_str());
-    req.set("chip", json::Value::string(read_file(opt.chip_file)));
-    if (kind == "field") {
-      if (opt.profile_file.empty())
-        usage("submit --req field needs --profile FILE");
-      req.set("profile", json::Value::string(read_file(opt.profile_file)));
-    }
-    req.set("jobs", json::Value::number(static_cast<std::int64_t>(opt.jobs)));
-    if (kind == "soc" && opt.power_budget >= 0.0)
-      req.set("power_budget", json::Value::number(opt.power_budget));
-    req.set("max_failures",
-            json::Value::number(
-                static_cast<std::uint64_t>(opt.max_failures)));
-  } else if (kind == "memtest") {
-    if (!opt.algorithm.empty())
-      req.set("algorithm", json::Value::string(opt.algorithm));
-    const auto size = backend::parse_size_bytes(opt.size_spec);
-    if (!size)
-      usage(("--size expects BYTES with an optional K/M/G suffix, not " +
-             opt.size_spec)
-                .c_str());
-    const std::uint64_t size_mb = std::max<std::uint64_t>(1, *size >> 20);
-    req.set("size_mb", json::Value::number(size_mb));
-    req.set("passes",
-            json::Value::number(static_cast<std::int64_t>(opt.passes)));
-    req.set("backgrounds",
-            json::Value::number(static_cast<std::int64_t>(opt.backgrounds)));
-    req.set("jobs", json::Value::number(static_cast<std::int64_t>(opt.jobs)));
-    if (!opt.backend_name.empty())
-      req.set("backend", json::Value::string(opt.backend_name));
-    req.set("max_failures",
-            json::Value::number(
-                static_cast<std::uint64_t>(opt.max_failures)));
-  } else if (kind == "cancel") {
-    if (opt.algorithm.empty())
-      usage("submit --req cancel needs the target session id");
-    req.set("target", json::Value::string(opt.algorithm));
-  }
-  // stats carries only id + kind.
-  return req.dump();
-}
-
-int cmd_submit(const Options& opt) {
+int cmd_submit(const serve::Request& opt) {
   if (opt.port < 0)
     usage("submit needs --port N (the port a `pmbist serve --port` printed)");
-  const std::string line = submit_request_line(opt) + "\n";
+  const std::string line = serve::to_json(opt) + "\n";
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
@@ -927,20 +353,17 @@ int cmd_submit(const Options& opt) {
       try {
         const auto v = common::json::Value::parse(event);
         const auto* name = v.find("event");
-        if (name == nullptr || !name->is_string()) continue;
-        if (name->as_string() == "result") {
-          const auto* exit_field = v.find("exit");
+        const std::string kind =
+            name != nullptr && name->is_string() ? name->as_string() : "";
+        const auto* exit_field = v.find("exit");
+        if (kind == "result")
           exit_code = exit_field != nullptr && exit_field->is_number()
                           ? static_cast<int>(exit_field->as_i64())
                           : 0;
-          terminal = true;
-        } else if (name->as_string() == "error") {
-          exit_code = 2;
-          terminal = true;
-        } else if (name->as_string() == "cancelled") {
-          exit_code = 1;
-          terminal = true;
-        }
+        else if (kind == "error" || kind == "cancelled")
+          exit_code = kind == "error" ? 2 : 1;
+        terminal = terminal || kind == "result" || kind == "error" ||
+                   kind == "cancelled";
       } catch (const common::json::JsonError&) {
         // A non-JSON line is the server's bug, not ours: pass it through
         // verbatim and keep the connection-level exit semantics.
@@ -954,33 +377,93 @@ int cmd_submit(const Options& opt) {
   return exit_code;
 }
 
+/// Writes `text` to `path` (for --emit-schedule and --fix); exits 2 when
+/// the file cannot be created.
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream out{path, std::ios::trunc};
+  if (!out) usage(("cannot write " + path).c_str());
+  out << text;
+}
+
+/// coverage, soc, field, memtest and lint: serve's executor, its payload
+/// on stdout.
+int cmd_served(serve::Request req) {
+  if (req.kind == serve::RequestKind::Soc ||
+      req.kind == serve::RequestKind::Field) {
+    if (req.chip.empty()) {
+      req.chip = soc::to_chip_text(soc::demo_soc(), soc::demo_plan());
+      std::fprintf(stderr, "no --chip given: running the built-in demo chip\n");
+    }
+    if (req.kind == serve::RequestKind::Field && req.profile.empty()) {
+      req.profile = field::to_profile_text(field::demo_profile());
+      std::fprintf(stderr,
+                   "no --profile given: using the built-in demo profile\n");
+    }
+  }
+  if (req.fix) {
+    if (req.unit == "input")
+      usage("--fix rewrites the input in place and needs a file argument");
+    const lint::FixResult fixed = lint::fix_text(req.input, req.unit);
+    std::printf("%s: %s\n", req.unit.c_str(), fixed.summary.c_str());
+    if (fixed.changed) {
+      write_file(req.unit, fixed.text);
+      req.input = fixed.text;
+    }
+  }
+
+  const serve::ExecResult result =
+      serve::execute(req, {.certify = req.certify});
+  std::fputs(result.payload.c_str(), stdout);
+  std::fputs(result.notes.c_str(), stderr);
+  if (!req.emit_schedule.empty())
+    write_file(req.emit_schedule, result.schedule);
+  if (req.certify && req.kind != serve::RequestKind::Lint) {
+    const std::string what{serve::to_string(req.kind)};
+    if (result.certificate.empty()) {
+      std::fprintf(stderr, "certificate: %s schedule OK\n", what.c_str());
+    } else {
+      std::fputs(lint::format_text(result.certificate).c_str(), stderr);
+      if (result.certificate.has_errors()) return 1;
+    }
+  }
+  return result.exit_code;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  // `--help` anywhere (and the bare `help` command) wins over everything
+  // else: print the usage text on stdout and exit 0, uniformly across
+  // subcommands.
+  for (int a = 1; a < argc; ++a) {
+    if (std::strcmp(argv[a], "--help") == 0 || std::strcmp(argv[a], "-h") == 0) {
+      print_usage(stdout);
+      return 0;
+    }
+  }
+  if (argc < 2) usage();
+  if (std::strcmp(argv[1], "help") == 0) {
+    print_usage(stdout);
+    return 0;
+  }
   try {
-    const Options opt = parse_args(argc, argv);
-    // --jobs and --kernel are threaded explicitly into every
-    // campaign-backed path (qualify, coverage, soc, field, list's
-    // qualification matrix) — the engines hold no process-wide defaults.
-    if (opt.command == "list") return cmd_list(opt);
-    if (opt.command == "export-decoder") return cmd_export_decoder();
-    if (opt.command == "soc") return cmd_soc(opt);
-    if (opt.command == "field") return cmd_field(opt);
-    if (opt.command == "memtest") return cmd_memtest(opt);
-    if (opt.command == "serve") return cmd_serve(opt);
-    if (opt.command == "submit") return cmd_submit(opt);
-    if (opt.algorithm.empty() && opt.command != "area" &&
-        !(opt.command == "run" && !opt.program_file.empty()) &&
-        opt.command != "export")
-      usage("this command needs an algorithm name or DSL string");
-    if (opt.command == "assemble") return cmd_assemble(opt);
-    if (opt.command == "qualify") return cmd_qualify(opt);
-    if (opt.command == "run") return cmd_run(opt);
-    if (opt.command == "area") return cmd_area(opt);
-    if (opt.command == "coverage") return cmd_coverage(opt);
-    if (opt.command == "export") return cmd_export(opt);
-    if (opt.command == "lint") return cmd_lint(opt);
-    usage(("unknown command " + opt.command).c_str());
+    serve::Request req;
+    try {
+      req = serve::parse_args({argv + 1, argv + argc});
+    } catch (const serve::ProtocolError& e) {
+      usage(e.what());
+    }
+    const std::string& command = req.command;
+    if (command == "list") return cmd_list(req);
+    if (command == "assemble") return cmd_assemble(req);
+    if (command == "qualify") return cmd_qualify(req);
+    if (command == "run") return cmd_run(req);
+    if (command == "area") return cmd_area(req);
+    if (command == "export") return cmd_export(req);
+    if (command == "export-decoder") return cmd_export_decoder();
+    if (command == "serve") return cmd_serve(req);
+    if (command == "submit") return cmd_submit(req);
+    return cmd_served(std::move(req));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;

@@ -26,7 +26,9 @@ file(WRITE ${WORK}/requests.ndjson
   "{\"id\":\"lint\",\"kind\":\"lint\",\"input\":\"March C\"}\n"
   "{\"id\":\"soc\",\"kind\":\"soc\",\"chip\":\"${chip_text}\",\"jobs\":1}\n"
   "{\"id\":\"field\",\"kind\":\"field\",\"chip\":\"${chip_text}\",\"profile\":\"${profile_text}\",\"jobs\":1}\n"
-  "{\"id\":\"lintcert\",\"kind\":\"lint\",\"input\":\"${chip_text}\",\"unit\":\"${CHIP}\",\"certify\":true}\n")
+  "{\"id\":\"lintcert\",\"kind\":\"lint\",\"input\":\"${chip_text}\",\"unit\":\"${CHIP}\",\"certify\":true}\n"
+  "{\"id\":\"mem\",\"kind\":\"memtest\",\"backend\":\"sim\",\"size_mb\":1,\"backgrounds\":1,\"jobs\":1}\n"
+  "{\"id\":\"covsaf\",\"kind\":\"campaign\",\"algorithm\":\"MATS\",\"addr_bits\":4,\"samples\":4,\"jobs\":1,\"classes\":[\"SAF\"]}\n")
 
 execute_process(
   COMMAND ${PMBIST_CLI} serve --payload-dir ${WORK}/payloads
@@ -40,41 +42,25 @@ endif()
 # The equivalent one-shot invocations (same jobs, default everything
 # else).  Reports go to stdout; wall-clock chatter goes to stderr and is
 # deliberately dropped — it is not part of the contract.
-execute_process(
-  COMMAND ${PMBIST_CLI} coverage MATS --addr-bits 4 --samples 4 --jobs 1
-  OUTPUT_FILE ${WORK}/cov.cli ERROR_VARIABLE ignored RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "pmbist coverage exited ${rc}")
-endif()
-execute_process(
-  COMMAND ${PMBIST_CLI} lint "March C"
-  OUTPUT_FILE ${WORK}/lint.cli ERROR_VARIABLE ignored RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "pmbist lint exited ${rc}")
-endif()
-execute_process(
-  COMMAND ${PMBIST_CLI} soc --chip ${CHIP} --jobs 1
-  OUTPUT_FILE ${WORK}/soc.cli ERROR_VARIABLE ignored RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "pmbist soc exited ${rc}")
-endif()
-execute_process(
-  COMMAND ${PMBIST_CLI} field --chip ${CHIP} --profile ${PROFILE} --jobs 1
-  OUTPUT_FILE ${WORK}/field.cli ERROR_VARIABLE ignored RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "pmbist field exited ${rc}")
-endif()
+function(cli_stdout name)
+  execute_process(
+    COMMAND ${PMBIST_CLI} ${ARGN}
+    OUTPUT_FILE ${WORK}/${name}.cli ERROR_VARIABLE ignored RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "pmbist ${ARGN} exited ${rc}")
+  endif()
+endfunction()
+cli_stdout(cov coverage MATS --addr-bits 4 --samples 4 --jobs 1)
+cli_stdout(lint lint "March C")
+cli_stdout(soc soc --chip ${CHIP} --jobs 1)
+cli_stdout(field field --chip ${CHIP} --profile ${PROFILE} --jobs 1)
+# A chip with --certify runs the scheduling phase: the same schedule and
+# report in a serve session and in the CLI.
+cli_stdout(lintcert lint ${CHIP} --certify)
+cli_stdout(mem memtest --backend sim --size 1M --backgrounds 1 --jobs 1)
+cli_stdout(covsaf coverage MATS --fault SAF --addr-bits 4 --samples 4 --jobs 1)
 
-# A chip with --certify runs the scheduling phase: one worker inside a
-# serve session, all cores in the CLI, the same schedule and report.
-execute_process(
-  COMMAND ${PMBIST_CLI} lint ${CHIP} --certify
-  OUTPUT_FILE ${WORK}/lintcert.cli ERROR_VARIABLE ignored RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "pmbist lint --certify exited ${rc}")
-endif()
-
-foreach(pair "cov" "lint" "soc" "field" "lintcert")
+foreach(pair "cov" "lint" "soc" "field" "lintcert" "mem" "covsaf")
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E compare_files
             ${WORK}/payloads/${pair}.out ${WORK}/${pair}.cli
