@@ -1,93 +1,14 @@
 #include "field/profile.h"
 
 #include <algorithm>
-#include <fstream>
-#include <map>
 #include <sstream>
 
 namespace pmbist::field {
-namespace {
 
-[[noreturn]] void fail(std::size_t line, const std::string& what) {
-  throw ProfileError{"profile line " + std::to_string(line) + ": " + what};
-}
-
-/// Splits one line into tokens: double-quoted strings (kept verbatim, no
-/// escapes) or maximal non-space runs.  `#` starts a comment outside quotes.
-std::vector<std::string> tokenize(const std::string& line, std::size_t lineno) {
-  std::vector<std::string> tokens;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    const char c = line[i];
-    if (c == ' ' || c == '\t' || c == '\r') {
-      ++i;
-    } else if (c == '#') {
-      break;
-    } else if (c == '"') {
-      const auto end = line.find('"', i + 1);
-      if (end == std::string::npos) fail(lineno, "unterminated quote");
-      tokens.push_back(line.substr(i + 1, end - i - 1));
-      i = end + 1;
-    } else {
-      std::size_t end = i;
-      while (end < line.size() && line[end] != ' ' && line[end] != '\t' &&
-             line[end] != '#' && line[end] != '\r')
-        ++end;
-      tokens.push_back(line.substr(i, end - i));
-      i = end;
-    }
-  }
-  return tokens;
-}
-
-/// key=value arguments of one directive.
-class Args {
- public:
-  Args(const std::vector<std::string>& tokens, std::size_t first,
-       std::size_t lineno)
-      : lineno_{lineno} {
-    for (std::size_t i = first; i < tokens.size(); ++i) {
-      const auto eq = tokens[i].find('=');
-      if (eq == std::string::npos || eq == 0)
-        fail(lineno, "expected key=value, got '" + tokens[i] + "'");
-      if (!kv_.emplace(tokens[i].substr(0, eq), tokens[i].substr(eq + 1))
-               .second)
-        fail(lineno, "duplicate key '" + tokens[i].substr(0, eq) + "'");
-    }
-  }
-
-  [[nodiscard]] std::uint64_t u64(const std::string& key) const {
-    const auto it = kv_.find(key);
-    if (it == kv_.end()) fail(lineno_, "missing " + key + "=");
-    const auto& text = it->second;
-    try {
-      std::size_t used = 0;
-      const auto v = std::stoull(text, &used, 0);
-      if (used != text.size()) throw std::invalid_argument{text};
-      return v;
-    } catch (const std::exception&) {
-      fail(lineno_, "bad number for " + key + ": '" + text + "'");
-    }
-  }
-
- private:
-  std::map<std::string, std::string> kv_;
-  std::size_t lineno_;
-};
-
-std::uint64_t parse_count(const std::string& text, std::size_t lineno,
-                          const char* what) {
-  try {
-    std::size_t used = 0;
-    const auto v = std::stoull(text, &used, 0);
-    if (used != text.size()) throw std::invalid_argument{text};
-    return v;
-  } catch (const std::exception&) {
-    fail(lineno, std::string{"bad "} + what + " '" + text + "'");
-  }
-}
-
-}  // namespace
+constexpr std::string_view kProfileDirectives[] = {"profile", "horizon",
+                                                    "bus_budget", "window"};
+const common::DirectiveFormat kProfileFormat{
+    "profile", 0, kProfileDirectives, common::throw_as<ProfileError>};
 
 MissionProfile& MissionProfile::add_window(std::string_view memory,
                                            IdleWindow window) {
@@ -154,61 +75,61 @@ void MissionProfile::validate(const soc::SocDescription& chip) const {
 
 MissionProfile parse_profile_text(const std::string& text,
                                   const ProfileParseOptions& options) {
+  return parse_profile_directives(common::lex(text, kProfileFormat), options);
+}
+
+MissionProfile parse_profile_directives(
+    const std::vector<common::Directive>& directives,
+    const ProfileParseOptions& options) {
   MissionProfile profile;
-  std::istringstream lines{text};
-  std::string line;
-  std::size_t lineno = 0;
   bool named = false;
-  while (std::getline(lines, line)) {
-    ++lineno;
-    const auto tokens = tokenize(line, lineno);
-    if (tokens.empty()) continue;
+  for (const auto& d : directives) {
+    const auto& tokens = d.tokens;
     const auto& directive = tokens[0];
+    const auto fail = [&](const std::string& what) {
+      kProfileFormat.fail(d.line, what);
+    };
+    const auto count = [&](const char* what) {
+      const auto v = common::parse_u64(tokens[1], kProfileFormat.base);
+      if (!v) fail(std::string{"bad "} + what + " '" + tokens[1] + "'");
+      return *v;
+    };
     if (directive == "profile") {
-      if (tokens.size() != 2) fail(lineno, "usage: profile <name>");
-      if (named) fail(lineno, "duplicate profile directive");
+      if (tokens.size() != 2) fail("usage: profile <name>");
+      if (named) fail("duplicate profile directive");
       profile.name = tokens[1];
       named = true;
     } else if (directive == "horizon") {
-      if (tokens.size() != 2) fail(lineno, "usage: horizon <cycles>");
-      profile.horizon = parse_count(tokens[1], lineno, "horizon");
+      if (tokens.size() != 2) fail("usage: horizon <cycles>");
+      profile.horizon = count("horizon");
     } else if (directive == "bus_budget") {
-      if (tokens.size() != 2) fail(lineno, "usage: bus_budget <lanes>");
-      profile.bus_budget = parse_count(tokens[1], lineno, "bus budget");
-    } else if (directive == "window") {
-      if (tokens.size() < 4)
-        fail(lineno, "usage: window <mem> start=N end=N");
-      const Args args{tokens, 2, lineno};
+      if (tokens.size() != 2) fail("usage: bus_budget <lanes>");
+      profile.bus_budget = count("bus budget");
+    } else {  // window
+      if (tokens.size() < 4) fail("usage: window <mem> start=N end=N");
+      const common::KeyValues args{d, 2, kProfileFormat};
       const IdleWindow w{args.u64("start"), args.u64("end")};
+      args.finish();
       if (w.end < w.start)
-        fail(lineno, "window end=" + std::to_string(w.end) +
-                         " is before start=" + std::to_string(w.start));
+        fail("window end=" + std::to_string(w.end) +
+             " is before start=" + std::to_string(w.start));
       profile.add_window(tokens[1], w);
-    } else {
-      fail(lineno, "unknown directive '" + directive + "'");
     }
   }
   if (options.validate) profile.validate();
   return profile;
 }
 
-MissionProfile load_profile_file(const std::string& path) {
-  std::ifstream is{path};
-  if (!is) throw ProfileError{"cannot open profile file '" + path + "'"};
-  std::ostringstream os;
-  os << is.rdbuf();
-  return parse_profile_text(os.str());
-}
-
 std::string to_profile_text(const MissionProfile& profile) {
   std::ostringstream os;
-  if (!profile.name.empty()) os << "profile " << profile.name << "\n";
+  if (!profile.name.empty())
+    os << "profile " << common::token_text(profile.name) << "\n";
   if (profile.horizon != 0) os << "horizon " << profile.horizon << "\n";
   if (profile.bus_budget != 1) os << "bus_budget " << profile.bus_budget << "\n";
   os << "\n";
   for (const auto& set : profile.windows)
     for (const auto& w : set.windows)
-      os << "window " << set.memory << " start=" << w.start
+      os << "window " << common::token_text(set.memory) << " start=" << w.start
          << " end=" << w.end << "\n";
   return os.str();
 }

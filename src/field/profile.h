@@ -11,8 +11,9 @@
 // operations concurrently).  The field manager (manager.h) packs
 // checkpointable session segments (segment.h) into these windows.
 //
-// On-disk format (.profile), in the chip-file style — grammar in
-// docs/FIELD.md, every fenced example there is parsed by test_docs.cpp:
+// On-disk format (.profile), under the chip file's lexical rules
+// (common/directives.h) — grammar in docs/FIELD.md, every fenced example
+// there is parsed by test_docs.cpp:
 //
 //   # comment
 //   profile <name>
@@ -27,6 +28,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/directives.h"
 #include "soc/description.h"
 
 namespace pmbist::field {
@@ -37,11 +39,15 @@ class FieldError : public soc::SocError {
   using SocError::SocError;
 };
 
-/// Raised on malformed .profile text; the message carries the line number.
+/// Raised on malformed .profile text; line() names the source line.
 class ProfileError : public FieldError {
  public:
   using FieldError::FieldError;
 };
+
+/// The .profile format: "profile line N: " errors, C-prefixed numbers,
+/// and its directive words.
+extern const common::DirectiveFormat kProfileFormat;
 
 /// One idle window: the instance may be tested in cycles [start, end).
 struct IdleWindow {
@@ -103,9 +109,11 @@ struct ProfileParseOptions {
 [[nodiscard]] MissionProfile parse_profile_text(
     const std::string& text, const ProfileParseOptions& options = {});
 
-/// Reads and parses a .profile file from disk.  Throws ProfileError when
-/// the file cannot be read.
-[[nodiscard]] MissionProfile load_profile_file(const std::string& path);
+/// parse_profile_text on text already lexed under kProfileFormat (the
+/// linter keeps the records for their line numbers).
+[[nodiscard]] MissionProfile parse_profile_directives(
+    const std::vector<common::Directive>& directives,
+    const ProfileParseOptions& options = {});
 
 /// Serializes a profile back into .profile text; the output re-parses to an
 /// equal MissionProfile (round-trip).

@@ -1,98 +1,58 @@
 #include "field/schedule_io.h"
 
 #include <sstream>
-#include <stdexcept>
 
 namespace pmbist::field {
-namespace {
 
-[[noreturn]] void fail(int lineno, const std::string& why) {
-  throw FieldScheduleError("field schedule line " + std::to_string(lineno) +
-                           ": " + why);
-}
-
-std::uint64_t parse_u64(const std::string& value, int lineno,
-                        const std::string& key) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long v = std::stoull(value, &used);
-    if (used != value.size()) throw std::invalid_argument{value};
-    return v;
-  } catch (const std::exception&) {
-    fail(lineno, key + " expects a non-negative integer, got '" + value + "'");
-  }
-}
-
-}  // namespace
+constexpr std::string_view kFieldScheduleDirectives[] = {"fieldschedule",
+                                                          "fsession"};
+const common::DirectiveFormat kFieldScheduleFormat{
+    "field schedule", 10, kFieldScheduleDirectives,
+    common::throw_as<FieldScheduleError>};
 
 FieldScheduleFile parse_field_schedule_text(const std::string& text) {
   FieldScheduleFile file;
   bool saw_header = false;
-  std::istringstream lines{text};
-  std::string line;
-  int lineno = 0;
-  while (std::getline(lines, line)) {
-    ++lineno;
-    std::istringstream words{line.substr(0, line.find('#'))};
-    std::string directive;
-    if (!(words >> directive)) continue;
-    if (directive == "fieldschedule") {
-      if (saw_header) fail(lineno, "duplicate fieldschedule directive");
-      if (!(words >> file.name)) fail(lineno, "fieldschedule needs a name");
+  for (const auto& d : common::lex(text, kFieldScheduleFormat)) {
+    const auto& tokens = d.tokens;
+    const auto fail = [&](const std::string& what) {
+      kFieldScheduleFormat.fail(d.line, what);
+    };
+    if (tokens[0] == "fieldschedule") {
+      if (saw_header) fail("duplicate fieldschedule directive");
+      if (tokens.size() != 2) fail("usage: fieldschedule <name>");
+      file.name = tokens[1];
       saw_header = true;
       continue;
     }
-    if (directive != "fsession")
-      fail(lineno, "unknown directive '" + directive + "'");
-    if (!saw_header)
-      fail(lineno, "fsession before the fieldschedule directive");
+    if (!saw_header) fail("fsession before the fieldschedule directive");
+    if (tokens.size() < 2)
+      fail("usage: fsession <mem> pass=N seg=A..B start=N end=N reload=N "
+           "[retest]");
+    const common::KeyValues args{d, 2, kFieldScheduleFormat, {"retest"}};
     FieldScheduleEntry entry;
-    entry.line = lineno;
+    entry.line = d.line;
     auto& s = entry.session;
-    if (!(words >> s.memory)) fail(lineno, "fsession needs a memory name");
-    bool saw_pass = false;
-    bool saw_seg = false;
-    bool saw_start = false;
-    bool saw_end = false;
-    bool saw_reload = false;
-    std::string token;
-    while (words >> token) {
-      if (token == "retest") {
-        s.retest = true;
-        continue;
-      }
-      const auto eq = token.find('=');
-      if (eq == std::string::npos)
-        fail(lineno, "expected key=value or retest, got '" + token + "'");
-      const std::string key = token.substr(0, eq);
-      const std::string value = token.substr(eq + 1);
-      if (key == "pass") {
-        s.pass = static_cast<int>(parse_u64(value, lineno, key));
-        saw_pass = true;
-      } else if (key == "seg") {
-        const auto dots = value.find("..");
-        if (dots == std::string::npos)
-          fail(lineno, "seg expects A..B, got '" + value + "'");
-        s.segment_begin = parse_u64(value.substr(0, dots), lineno, key);
-        s.segment_end = parse_u64(value.substr(dots + 2), lineno, key);
-        saw_seg = true;
-      } else if (key == "start") {
-        s.start_cycle = parse_u64(value, lineno, key);
-        saw_start = true;
-      } else if (key == "end") {
-        s.end_cycle = parse_u64(value, lineno, key);
-        saw_end = true;
-      } else if (key == "reload") {
-        s.reload_cycles = parse_u64(value, lineno, key);
-        saw_reload = true;
-      } else {
-        fail(lineno, "unknown fsession key '" + key + "'");
-      }
-    }
-    if (!saw_pass || !saw_seg || !saw_start || !saw_end || !saw_reload)
-      fail(lineno, "fsession needs pass=, seg=, start=, end= and reload=");
-    if (s.end_cycle < s.start_cycle) fail(lineno, "end before start");
-    if (s.segment_end < s.segment_begin) fail(lineno, "seg range reversed");
+    s.memory = tokens[1];
+    s.pass = args.num("pass");
+    const auto& seg = args.raw("seg");
+    const auto dots = seg.find("..");
+    const auto begin =
+        common::parse_u64(seg.substr(0, dots), kFieldScheduleFormat.base);
+    const auto end = dots == std::string::npos
+                         ? std::nullopt
+                         : common::parse_u64(seg.substr(dots + 2),
+                                             kFieldScheduleFormat.base);
+    if (!begin || !end) fail("seg expects A..B, got '" + seg + "'");
+    s.segment_begin = *begin;
+    s.segment_end = *end;
+    s.start_cycle = args.u64("start");
+    s.end_cycle = args.u64("end");
+    s.reload_cycles = args.u64("reload");
+    s.retest = args.word("retest");
+    args.finish();
+    if (s.end_cycle < s.start_cycle) fail("end before start");
+    if (s.segment_end < s.segment_begin) fail("seg range reversed");
     file.entries.push_back(std::move(entry));
   }
   if (!saw_header)
@@ -105,11 +65,12 @@ std::string to_field_schedule_text(const std::string& name,
   std::ostringstream os;
   os << "# pmbist field schedule (certify with `pmbist lint FILE --chip CHIP "
         "--profile PROFILE`)\n";
-  os << "fieldschedule " << name << '\n';
+  os << "fieldschedule " << common::token_text(name) << '\n';
   for (const auto& s : sessions) {
-    os << "fsession " << s.memory << " pass=" << s.pass << " seg="
-       << s.segment_begin << ".." << s.segment_end << " start=" << s.start_cycle
-       << " end=" << s.end_cycle << " reload=" << s.reload_cycles;
+    os << "fsession " << common::token_text(s.memory) << " pass=" << s.pass
+       << " seg=" << s.segment_begin << ".." << s.segment_end
+       << " start=" << s.start_cycle << " end=" << s.end_cycle
+       << " reload=" << s.reload_cycles;
     if (s.retest) os << " retest";
     os << '\n';
   }

@@ -7,7 +7,8 @@
 // manager's decisions; segment costs, window membership, bus lanes and
 // power weights are all re-derived at certification time.
 //
-// Format ('#' comments, one directive per line):
+// Format, under the chip file's lexical rules (common/directives.h) with
+// decimal numbers:
 //
 //   fieldschedule <name>
 //   fsession <mem> pass=N seg=A..B start=N end=N reload=N [retest]
@@ -20,16 +21,20 @@
 #include <string>
 #include <vector>
 
+#include "common/directives.h"
 #include "field/manager.h"
 
 namespace pmbist::field {
 
-/// Raised on malformed .fieldsched text; the message carries the line
-/// number.
+/// Raised on malformed .fieldsched text; line() names the source line.
 class FieldScheduleError : public FieldError {
  public:
   using FieldError::FieldError;
 };
+
+/// The .fieldsched format: "field schedule line N: " errors, decimal
+/// numbers, and its directive words.
+extern const common::DirectiveFormat kFieldScheduleFormat;
 
 /// One parsed `fsession` directive.
 struct FieldScheduleEntry {

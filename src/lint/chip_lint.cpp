@@ -1,59 +1,20 @@
 #include "lint/chip_lint.h"
 
-#include <cstdio>
 #include <map>
 #include <sstream>
 #include <vector>
 
+#include "common/directives.h"
 #include "lint/prover.h"
 #include "march/library.h"
 #include "mbist_pfsm/compiler.h"
 #include "soc/chip.h"
+#include "soc/chip_json.h"
 
 namespace pmbist::lint {
 namespace {
 
 using march::MarchAlgorithm;
-
-/// Crude whitespace tokenizer for the line pre-scan (the real parser owns
-/// quoting; directive and instance-name tokens never contain quotes).
-std::vector<std::string> split_tokens(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream is{line.substr(0, line.find('#'))};
-  std::string tok;
-  while (is >> tok) tokens.push_back(tok);
-  return tokens;
-}
-
-struct PreScan {
-  std::map<std::string, int> mem_line;     ///< first `mem <name>` line
-  std::map<std::string, int> assign_line;  ///< first `assign <name>` line
-  std::vector<std::pair<std::string, int>> duplicate_mems;
-};
-
-PreScan pre_scan(const std::string& text) {
-  PreScan scan;
-  std::istringstream lines{text};
-  std::string line;
-  int lineno = 0;
-  while (std::getline(lines, line)) {
-    ++lineno;
-    const auto tokens = split_tokens(line);
-    if (tokens.size() < 2) continue;
-    if (tokens[0] == "mem") {
-      if (!scan.mem_line.emplace(tokens[1], lineno).second)
-        scan.duplicate_mems.emplace_back(tokens[1], lineno);
-    } else if (tokens[0] == "assign") {
-      scan.assign_line.emplace(tokens[1], lineno);
-    }
-  }
-  return scan;
-}
-
-int line_of(const std::map<std::string, int>& index, const std::string& key) {
-  const auto it = index.find(key);
-  return it == index.end() ? -1 : it->second;
-}
 
 /// True when the algorithm contains a nonzero pause (excites retention
 /// faults) — the static condition behind the DRF escape warning.
@@ -114,34 +75,40 @@ void lint_fault_escapes(const std::string& unit, const soc::TestAssignment& a,
 
 Report lint_chip_text(const std::string& text, std::string unit) {
   Report report;
-  // The JSON mirror (soc/chip_json.h) has no meaningful line numbers and
-  // its object keys cannot express duplicate instances (the parser throws,
-  // which becomes CH02 below); the semantic checks are format-agnostic.
-  const auto first_char = text.find_first_not_of(" \t\r\n");
-  const bool is_json =
-      first_char != std::string::npos && text[first_char] == '{';
-  PreScan scan;
-  if (!is_json) {
-    scan = pre_scan(text);
-    for (const auto& [name, lineno] : scan.duplicate_mems)
-      report.add("CH01", unit, lineno,
-                 "duplicate memory instance '" + name + "' (first declared "
-                 "on line " +
-                     std::to_string(line_of(scan.mem_line, name)) + ")",
-                 "give every instance a unique name");
-  }
-
+  // The line of each memory and assignment, in order, from the lexed
+  // records: the parser appends one per `mem` / `assign` directive (a
+  // duplicate throws).  The JSON mirror has no lines, and its object keys
+  // cannot express a duplicate instance (the parser throws: CH02 below).
+  std::vector<int> mem_lines;
+  std::vector<int> assign_lines;
   soc::ChipFile chip;
   try {
-    chip = soc::parse_chip(text, {.validate_plan = false});
+    if (soc::is_chip_json(text)) {
+      chip = soc::parse_chip_json(text, {.validate_plan = false});
+      mem_lines.assign(chip.description.memories().size(), -1);
+      assign_lines.assign(chip.plan.assignments().size(), -1);
+    } else {
+      const auto directives = common::lex(text, soc::kChipFormat);
+      std::map<std::string, int> declared;
+      for (const auto& d : directives) {
+        if (d.tokens[0] == "assign") assign_lines.push_back(d.line);
+        if (d.tokens[0] != "mem" || d.tokens.size() < 2) continue;
+        mem_lines.push_back(d.line);
+        const auto [first, fresh] = declared.emplace(d.tokens[1], d.line);
+        if (!fresh)
+          report.add("CH01", unit, d.line,
+                     "duplicate memory instance '" + d.tokens[1] +
+                         "' (first declared on line " +
+                         std::to_string(first->second) + ")",
+                     "give every instance a unique name");
+      }
+      chip = soc::parse_chip_directives(directives, {.validate_plan = false});
+    }
   } catch (const std::exception& e) {
-    if (report.empty()) {
-      int lineno = -1;
-      std::sscanf(e.what(), "chip file line %d:", &lineno);
-      report.add("CH02", unit, lineno, e.what(),
+    if (report.empty())
+      report.add("CH02", unit, common::error_line(e), e.what(),
                  "see docs/SOC.md for the chip-file grammar (or the JSON "
                  "mirror in docs/SERVE.md)");
-    }
     return report;
   }
 
@@ -152,8 +119,9 @@ Report lint_chip_text(const std::string& text, std::string unit) {
                "0 means unconstrained");
 
   std::map<std::string, bool> assigned;
-  for (const auto& a : plan.assignments()) {
-    const int lineno = line_of(scan.assign_line, a.memory);
+  for (std::size_t i = 0; i < plan.assignments().size(); ++i) {
+    const auto& a = plan.assignments()[i];
+    const int lineno = assign_lines[i];
     assigned[a.memory] = true;
     const auto* mem = chipdesc.find(a.memory);
     if (mem == nullptr) {
@@ -209,8 +177,9 @@ Report lint_chip_text(const std::string& text, std::string unit) {
     lint_fault_escapes(unit, a, *mem, alg, lineno, report);
   }
 
-  for (const auto& mem : chipdesc.memories()) {
-    const int lineno = line_of(scan.mem_line, mem.name);
+  for (std::size_t i = 0; i < chipdesc.memories().size(); ++i) {
+    const auto& mem = chipdesc.memories()[i];
+    const int lineno = mem_lines[i];
     if (!assigned.count(mem.name))
       report.add("CH08", unit, lineno,
                  "memory '" + mem.name + "' has no test assignment and "

@@ -1,8 +1,8 @@
 #include "lint/driver.h"
 
-#include <cstdio>
 #include <sstream>
 
+#include "common/directives.h"
 #include "field/manager.h"
 #include "field/profile.h"
 #include "field/schedule_io.h"
@@ -23,32 +23,6 @@
 
 namespace pmbist::lint {
 namespace {
-
-bool is_chip_directive(const std::string& word) {
-  return word == "soc" || word == "mem" || word == "fault" ||
-         word == "assign" || word == "power_budget";
-}
-
-bool is_profile_directive(const std::string& word) {
-  return word == "profile" || word == "window" || word == "horizon" ||
-         word == "bus_budget";
-}
-
-bool is_soc_schedule_directive(const std::string& word) {
-  return word == "schedule" || word == "session";
-}
-
-bool is_field_schedule_directive(const std::string& word) {
-  return word == "fieldschedule" || word == "fsession";
-}
-
-/// Line number embedded in a schedule parse-error message, or -1.
-int schedule_lineno_of(const char* what) {
-  int lineno = -1;
-  std::sscanf(what, "schedule file line %d:", &lineno);
-  if (lineno < 0) std::sscanf(what, "field schedule line %d:", &lineno);
-  return lineno;
-}
 
 // The march parser has no comment syntax; on-disk .march files use the
 // same '#' comments as chip files, so strip them (and line breaks) here.
@@ -242,8 +216,8 @@ Report lint_soc_schedule_text(const std::string& text, std::string unit,
   try {
     file = soc::parse_schedule_text(text);
   } catch (const std::exception& e) {
-    report.add("SC00", std::move(unit), schedule_lineno_of(e.what()),
-               e.what(), "see docs/SOC.md for the .schedule grammar");
+    report.add("SC00", std::move(unit), common::error_line(e), e.what(),
+               "see docs/SOC.md for the .schedule grammar");
     return report;
   }
   soc::ChipFile chip;
@@ -261,8 +235,8 @@ Report lint_field_schedule_text(const std::string& text, std::string unit,
   try {
     file = field::parse_field_schedule_text(text);
   } catch (const std::exception& e) {
-    report.add("SC00", std::move(unit), schedule_lineno_of(e.what()),
-               e.what(), "see docs/FIELD.md for the .fieldsched grammar");
+    report.add("SC00", std::move(unit), common::error_line(e), e.what(),
+               "see docs/FIELD.md for the .fieldsched grammar");
     return report;
   }
   soc::ChipFile chip;
@@ -360,21 +334,13 @@ InputKind detect_kind(const std::string& text) {
   if (text.find("pmbist pfsm image") != std::string::npos)
     return InputKind::PfsmImage;
   // The chip JSON mirror: the only accepted format that is a JSON object.
-  const auto first_char = text.find_first_not_of(" \t\r\n");
-  if (first_char != std::string::npos && text[first_char] == '{')
-    return InputKind::Chip;
-  std::istringstream lines{text};
-  std::string line;
-  while (std::getline(lines, line)) {
-    std::istringstream words{line.substr(0, line.find('#'))};
-    std::string first;
-    if (!(words >> first)) continue;
-    if (is_chip_directive(first)) return InputKind::Chip;
-    if (is_profile_directive(first)) return InputKind::Profile;
-    if (is_soc_schedule_directive(first)) return InputKind::SocSchedule;
-    if (is_field_schedule_directive(first)) return InputKind::FieldSchedule;
-    return InputKind::March;
-  }
+  if (soc::is_chip_json(text)) return InputKind::Chip;
+  const std::string word = common::first_word(text);
+  if (soc::kChipFormat.declares(word)) return InputKind::Chip;
+  if (field::kProfileFormat.declares(word)) return InputKind::Profile;
+  if (soc::kScheduleFormat.declares(word)) return InputKind::SocSchedule;
+  if (field::kFieldScheduleFormat.declares(word))
+    return InputKind::FieldSchedule;
   return InputKind::March;
 }
 

@@ -23,11 +23,10 @@ enum class InputKind : std::uint8_t {
 [[nodiscard]] std::string_view to_string(InputKind kind);
 
 /// Classifies text by shape: the ucode / pFSM image headers win, then a
-/// leading '{' (the JSON chip mirror), then any line starting with a chip
-/// directive (soc/mem/fault/assign/power_budget), a mission-profile
-/// directive (profile/window/horizon/bus_budget), a SoC-schedule directive
-/// (schedule/session) or a field-schedule directive (fieldschedule/
-/// fsession), otherwise march (library name or DSL).
+/// leading '{' (the JSON chip mirror), then the first token of the text
+/// (common::first_word) if it is a directive of the chip, mission-profile,
+/// SoC-schedule or field-schedule format (each format's declared set, the
+/// one its parser reads), otherwise march (library name or DSL).
 [[nodiscard]] InputKind detect_kind(const std::string& text);
 
 struct LintOptions {

@@ -206,8 +206,7 @@ FixOutcome fix_march(march::MarchAlgorithm& alg) {
 
 FixResult fix_chip_text(const std::string& text, const std::string& unit) {
   FixResult result;
-  const auto first_char = text.find_first_not_of(" \t\r\n");
-  if (first_char != std::string::npos && text[first_char] == '{') {
+  if (soc::is_chip_json(text)) {
     result.summary = unit + ": --fix applies to the text chip format "
                             "(regenerate the JSON mirror from the fixed "
                             "text)";

@@ -1,114 +1,41 @@
 #include "lint/profile_lint.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
-#include <sstream>
+#include <utility>
 #include <vector>
 
+#include "common/directives.h"
 #include "field/profile.h"
 #include "soc/chip.h"
 
 namespace pmbist::lint {
-namespace {
-
-/// Crude whitespace tokenizer for the line pre-scan (profile directives
-/// and window arguments never contain quotes in practice).
-std::vector<std::string> split_tokens(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream is{line.substr(0, line.find('#'))};
-  std::string tok;
-  while (is >> tok) tokens.push_back(tok);
-  return tokens;
-}
-
-struct WindowLine {
-  std::string memory;
-  std::uint64_t start = 0;
-  std::uint64_t end = 0;
-  int lineno = -1;
-};
-
-struct PreScan {
-  std::vector<WindowLine> windows;
-  std::map<std::string, int> first_window_line;  ///< per memory
-  int bus_budget_line = -1;
-  int horizon_line = -1;
-};
-
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stoull(text, &used, 0);
-    return used == text.size();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-PreScan pre_scan(const std::string& text) {
-  PreScan scan;
-  std::istringstream lines{text};
-  std::string line;
-  int lineno = 0;
-  while (std::getline(lines, line)) {
-    ++lineno;
-    const auto tokens = split_tokens(line);
-    if (tokens.empty()) continue;
-    if (tokens[0] == "bus_budget") {
-      if (scan.bus_budget_line < 0) scan.bus_budget_line = lineno;
-    } else if (tokens[0] == "horizon") {
-      if (scan.horizon_line < 0) scan.horizon_line = lineno;
-    } else if (tokens[0] == "window" && tokens.size() >= 4) {
-      WindowLine w;
-      w.memory = tokens[1];
-      w.lineno = lineno;
-      for (std::size_t i = 2; i < tokens.size(); ++i) {
-        const auto eq = tokens[i].find('=');
-        if (eq == std::string::npos) continue;
-        const auto key = tokens[i].substr(0, eq);
-        std::uint64_t v = 0;
-        if (!parse_u64(tokens[i].substr(eq + 1), v)) continue;
-        if (key == "start") w.start = v;
-        if (key == "end") w.end = v;
-      }
-      scan.first_window_line.emplace(w.memory, lineno);
-      scan.windows.push_back(std::move(w));
-    }
-  }
-  return scan;
-}
-
-/// Line of the first `window` directive matching (memory, start, end);
-/// -1 when the pre-scan did not see it (quoting or exotic numerals).
-int window_line(const PreScan& scan, const std::string& memory,
-                const field::IdleWindow& w) {
-  for (const auto& c : scan.windows)
-    if (c.memory == memory && c.start == w.start && c.end == w.end)
-      return c.lineno;
-  return -1;
-}
-
-}  // namespace
 
 Report lint_profile_text(const std::string& text, std::string unit,
                          const std::string& chip_text) {
   Report report;
-  const PreScan scan = pre_scan(text);
-
+  // Lines of the lexed records: the k-th `window <mem>` directive is the
+  // k-th window of <mem>'s set, and the last bus_budget is the one that
+  // took effect.
+  std::map<std::string, std::vector<int>> window_lines;
+  int bus_budget_line = -1;
   field::MissionProfile profile;
   try {
-    profile = field::parse_profile_text(text, {.validate = false});
+    const auto directives = common::lex(text, field::kProfileFormat);
+    for (const auto& d : directives) {
+      if (d.tokens[0] == "bus_budget") bus_budget_line = d.line;
+      if (d.tokens[0] == "window" && d.tokens.size() > 1)
+        window_lines[d.tokens[1]].push_back(d.line);
+    }
+    profile = field::parse_profile_directives(directives, {.validate = false});
   } catch (const std::exception& e) {
-    int lineno = -1;
-    std::sscanf(e.what(), "profile line %d:", &lineno);
-    report.add("FP00", std::move(unit), lineno, e.what(),
+    report.add("FP00", std::move(unit), common::error_line(e), e.what(),
                "see docs/FIELD.md for the profile grammar");
     return report;
   }
 
   if (profile.bus_budget < 1)
-    report.add("FP03", unit, scan.bus_budget_line,
+    report.add("FP03", unit, bus_budget_line,
                "bus budget 0 gives the test bus no lanes: no session can "
                "ever stream and every memory ships with staleness = the "
                "whole horizon",
@@ -116,22 +43,26 @@ Report lint_profile_text(const std::string& text, std::string unit,
 
   const std::uint64_t horizon = profile.effective_horizon();
   for (const auto& set : profile.windows) {
-    auto sorted = set.windows;
-    std::sort(sorted.begin(), sorted.end(),
-              [](const field::IdleWindow& a, const field::IdleWindow& b) {
-                if (a.start != b.start) return a.start < b.start;
-                return a.end < b.end;
-              });
-    for (const auto& w : sorted) {
+    const auto& lines = window_lines[set.memory];
+    std::vector<std::pair<field::IdleWindow, int>> sorted;
+    for (std::size_t i = 0; i < set.windows.size(); ++i)
+      sorted.emplace_back(set.windows[i], lines[i]);
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [](const auto& a, const auto& b) {
+                       if (a.first.start != b.first.start)
+                         return a.first.start < b.first.start;
+                       return a.first.end < b.first.end;
+                     });
+    for (const auto& [w, line] : sorted) {
       if (w.start >= w.end)
-        report.add("FP02", unit, window_line(scan, set.memory, w),
+        report.add("FP02", unit, line,
                    "'" + set.memory + "': empty idle window [" +
                        std::to_string(w.start) + ", " + std::to_string(w.end) +
                        ") can never hold a test segment",
                    "windows are half-open [start, end); end must exceed "
                    "start");
       else if (profile.horizon != 0 && w.start >= profile.horizon)
-        report.add("FP06", unit, window_line(scan, set.memory, w),
+        report.add("FP06", unit, line,
                    "'" + set.memory + "': idle window [" +
                        std::to_string(w.start) + ", " + std::to_string(w.end) +
                        ") starts at or beyond the horizon " +
@@ -139,13 +70,15 @@ Report lint_profile_text(const std::string& text, std::string unit,
                    "extend the horizon or drop the window");
     }
     for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
-      if (sorted[i].end > sorted[i + 1].start)
-        report.add("FP01", unit, window_line(scan, set.memory, sorted[i + 1]),
+      const auto& a = sorted[i].first;
+      const auto& [b, b_line] = sorted[i + 1];
+      if (a.end > b.start)
+        report.add("FP01", unit, b_line,
                    "'" + set.memory + "': idle windows [" +
-                       std::to_string(sorted[i].start) + ", " +
-                       std::to_string(sorted[i].end) + ") and [" +
-                       std::to_string(sorted[i + 1].start) + ", " +
-                       std::to_string(sorted[i + 1].end) + ") overlap",
+                       std::to_string(a.start) + ", " +
+                       std::to_string(a.end) + ") and [" +
+                       std::to_string(b.start) + ", " +
+                       std::to_string(b.end) + ") overlap",
                    "a memory is either idle or not — merge the windows");
     }
   }
@@ -156,18 +89,14 @@ Report lint_profile_text(const std::string& text, std::string unit,
   try {
     chip = soc::parse_chip_text(chip_text, {.validate_plan = false});
   } catch (const std::exception& e) {
-    int lineno = -1;
-    std::sscanf(e.what(), "chip file line %d:", &lineno);
-    report.add("CH02", "--chip", lineno, e.what(),
+    report.add("CH02", "--chip", common::error_line(e), e.what(),
                "see docs/SOC.md for the chip-file grammar");
     return report;
   }
 
   for (const auto& set : profile.windows) {
     if (chip.description.find(set.memory) == nullptr) {
-      const auto it = scan.first_window_line.find(set.memory);
-      report.add("FP04", unit,
-                 it == scan.first_window_line.end() ? -1 : it->second,
+      report.add("FP04", unit, window_lines[set.memory].front(),
                  "window names unknown memory '" + set.memory + "'",
                  "every window memory must be a mem instance of the chip");
     }

@@ -429,9 +429,14 @@ json::Value write_json(const Field& f, Request& r) {
       return json::Value::number(static_cast<std::int64_t>(slot<int>(f, r)));
     case U64:
       return json::Value::number(slot<std::uint64_t>(f, r));
-    case Size:
-      return json::Value::number(
-          std::max<std::uint64_t>(1, slot<std::uint64_t>(f, r) >> 20));
+    case Size: {
+      // The wire carries whole MiB; rounding would test another size.
+      const std::uint64_t bytes = slot<std::uint64_t>(f, r);
+      if (bytes % (1u << 20) != 0)
+        fail(label(f) + " must be a whole number of MiB (the wire carries "
+                        "MiB), not " + std::to_string(bytes) + " bytes");
+      return json::Value::number(bytes >> 20);
+    }
     case Double: return json::Value::number(slot<double>(f, r));
     case Bool: return json::Value::boolean(slot<bool>(f, r));
     case Text:

@@ -201,8 +201,9 @@ struct Command {
 
 /// Serializes a request of a serve kind as one request line, through the
 /// rows serve accepts.  parse_request(to_json(r)) == r for every request
-/// parse_args returns with CLI-only rows at their defaults and --size a
-/// whole number of MiB.
+/// parse_args returns with CLI-only rows at their defaults.  Throws
+/// ProtocolError for a --size that is not a whole number of MiB, which the
+/// wire's size_mb cannot carry.
 [[nodiscard]] std::string to_json(const Request& request);
 
 /// Event constructors: one complete JSON line each (no trailing newline),

@@ -1,9 +1,7 @@
 #include "soc/chip.h"
 
-#include <cinttypes>
+#include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <map>
 #include <sstream>
 
 #include "march/coverage.h"
@@ -11,161 +9,55 @@
 #include "soc/fault_codec.h"
 
 namespace pmbist::soc {
+
+constexpr std::string_view kChipDirectives[] = {
+    "soc", "power_budget", "power_model", "mem", "fault", "assign"};
+const common::DirectiveFormat kChipFormat{"chip file", 0, kChipDirectives,
+                                          common::throw_as<ChipError>};
+
 namespace {
 
-[[noreturn]] void fail(std::size_t line, const std::string& what) {
-  throw ChipError{"chip file line " + std::to_string(line) + ": " + what};
+using common::KeyValues;
+
+/// "addr:bit" cell reference, bounds-checked against the geometry.
+memsim::BitRef cell_arg(const KeyValues& args, const std::string& key,
+                        const memsim::MemoryGeometry& g) {
+  const auto& text = args.raw(key);
+  const auto colon = text.find(':');
+  if (colon == std::string::npos)
+    args.fail(key + " must be <addr>:<bit>, got '" + text + "'");
+  const auto addr = common::parse_u64(text.substr(0, colon), args.base());
+  const auto bit = common::parse_u64(text.substr(colon + 1), args.base());
+  if (!addr || !bit) args.fail("bad cell reference '" + text + "'");
+  if (*addr >= g.num_words() || *bit >= static_cast<std::uint64_t>(g.word_bits))
+    args.fail(key + "=" + std::to_string(*addr) + ":" + std::to_string(*bit) +
+              " is outside the geometry");
+  return {static_cast<memsim::Address>(*addr), static_cast<int>(*bit)};
 }
 
-[[noreturn]] void fail_at(const std::string& where, const std::string& what) {
-  throw ChipError{where + ": " + what};
+/// AF `physical=` list: comma-separated addresses, or `none`.
+std::vector<memsim::Address> address_list_arg(const KeyValues& args,
+                                              const std::string& key,
+                                              const memsim::MemoryGeometry& g) {
+  const auto& text = args.raw(key);
+  std::vector<memsim::Address> out;
+  if (text == "none") return out;
+  for (std::size_t start = 0; start <= text.size();) {
+    const auto comma = std::min(text.find(',', start), text.size());
+    const auto a = common::parse_u64(text.substr(start, comma - start),
+                                     args.base());
+    if (!a) args.fail("bad address list for " + key + ": '" + text + "'");
+    if (*a >= g.num_words()) args.fail(key + " address too big");
+    out.push_back(static_cast<memsim::Address>(*a));
+    start = comma + 1;
+  }
+  return out;
 }
 
-/// Splits one line into tokens: double-quoted strings (kept verbatim, no
-/// escapes) or maximal non-space runs.  `#` starts a comment outside quotes.
-std::vector<std::string> tokenize(const std::string& line, std::size_t lineno) {
-  std::vector<std::string> tokens;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    const char c = line[i];
-    if (c == ' ' || c == '\t' || c == '\r') {
-      ++i;
-    } else if (c == '#') {
-      break;
-    } else if (c == '"') {
-      const auto end = line.find('"', i + 1);
-      if (end == std::string::npos) fail(lineno, "unterminated quote");
-      tokens.push_back(line.substr(i + 1, end - i - 1));
-      i = end + 1;
-    } else {
-      std::size_t end = i;
-      while (end < line.size() && line[end] != ' ' && line[end] != '\t' &&
-             line[end] != '#' && line[end] != '\r')
-        ++end;
-      tokens.push_back(line.substr(i, end - i));
-      i = end;
-    }
-  }
-  return tokens;
-}
-
-/// key=value arguments of one directive (or one JSON fault object —
-/// `where` carries the error-message prefix either way).
-class Args {
- public:
-  Args(const std::vector<std::string>& tokens, std::size_t first,
-       std::size_t lineno)
-      : where_{"chip file line " + std::to_string(lineno)} {
-    for (std::size_t i = first; i < tokens.size(); ++i) {
-      const auto eq = tokens[i].find('=');
-      if (eq == std::string::npos || eq == 0)
-        fail_at(where_, "expected key=value, got '" + tokens[i] + "'");
-      if (!kv_.emplace(tokens[i].substr(0, eq), tokens[i].substr(eq + 1))
-               .second)
-        fail_at(where_, "duplicate key '" + tokens[i].substr(0, eq) + "'");
-    }
-  }
-
-  Args(std::map<std::string, std::string> kv, std::string where)
-      : kv_{std::move(kv)}, where_{std::move(where)} {}
-
-  [[nodiscard]] bool has(const std::string& key) const {
-    return kv_.count(key) != 0;
-  }
-  [[nodiscard]] const std::map<std::string, std::string>& map() const {
-    return kv_;
-  }
-
-  [[nodiscard]] std::uint64_t u64(const std::string& key) const {
-    const auto& text = raw(key);
-    try {
-      std::size_t used = 0;
-      const auto v = std::stoull(text, &used, 0);
-      if (used != text.size()) throw std::invalid_argument{text};
-      return v;
-    } catch (const std::exception&) {
-      fail_at(where_, "bad number for " + key + ": '" + text + "'");
-    }
-  }
-  [[nodiscard]] std::uint64_t u64_or(const std::string& key,
-                                     std::uint64_t fallback) const {
-    return has(key) ? u64(key) : fallback;
-  }
-  [[nodiscard]] int num(const std::string& key) const {
-    return static_cast<int>(u64(key));
-  }
-  [[nodiscard]] int num_or(const std::string& key, int fallback) const {
-    return has(key) ? num(key) : fallback;
-  }
-  [[nodiscard]] bool flag(const std::string& key) const {
-    const auto v = u64(key);
-    if (v > 1) fail_at(where_, key + " must be 0 or 1");
-    return v != 0;
-  }
-  [[nodiscard]] bool flag_or(const std::string& key, bool fallback) const {
-    return has(key) ? flag(key) : fallback;
-  }
-  [[nodiscard]] double real(const std::string& key) const {
-    const auto& text = raw(key);
-    try {
-      std::size_t used = 0;
-      const auto v = std::stod(text, &used);
-      if (used != text.size()) throw std::invalid_argument{text};
-      return v;
-    } catch (const std::exception&) {
-      fail_at(where_, "bad number for " + key + ": '" + text + "'");
-    }
-  }
-  /// "addr:bit" cell reference.
-  [[nodiscard]] memsim::BitRef cell(const std::string& key) const {
-    const auto& text = raw(key);
-    const auto colon = text.find(':');
-    if (colon == std::string::npos)
-      fail_at(where_, key + " must be <addr>:<bit>, got '" + text + "'");
-    try {
-      return {static_cast<memsim::Address>(
-                  std::stoull(text.substr(0, colon), nullptr, 0)),
-              static_cast<int>(std::stoull(text.substr(colon + 1), nullptr,
-                                           0))};
-    } catch (const std::exception&) {
-      fail_at(where_, "bad cell reference '" + text + "'");
-    }
-  }
-  [[nodiscard]] const std::string& raw(const std::string& key) const {
-    const auto it = kv_.find(key);
-    if (it == kv_.end()) fail_at(where_, "missing " + key + "=");
-    return it->second;
-  }
-  [[nodiscard]] const std::string& where() const { return where_; }
-
- private:
-  std::map<std::string, std::string> kv_;
-  std::string where_;
-};
-
-memsim::FaultClass class_by_name(const std::string& name,
-                                 const std::string& where) {
-  if (const auto cls = memsim::parse_fault_class(name)) return *cls;
-  fail_at(where, "unknown fault class '" + name + "'");
-}
-
-memsim::BitRef checked_cell(const Args& args, const std::string& key,
-                            const memsim::MemoryGeometry& g) {
-  const auto c = args.cell(key);
-  if (c.addr >= g.num_words() || c.bit < 0 || c.bit >= g.word_bits)
-    fail_at(args.where(), key + "=" + std::to_string(c.addr) + ":" +
-                              std::to_string(c.bit) +
-                              " is outside the geometry");
-  return c;
-}
-
-memsim::Fault parse_fault_args(const std::string& kind, const Args& args,
+memsim::Fault parse_fault_args(const std::string& kind, const KeyValues& args,
                                const memsim::MemoryGeometry& g) {
   using namespace memsim;
-  const std::string& where = args.where();
-  auto cell = [&](const char* key = "cell") {
-    return checked_cell(args, key, g);
-  };
+  auto cell = [&](const char* key = "cell") { return cell_arg(args, key, g); };
   if (kind == "SAF") return StuckAtFault{cell(), args.flag("value")};
   if (kind == "TF") return TransitionFault{cell(), args.flag("rising")};
   if (kind == "CFin")
@@ -180,17 +72,8 @@ memsim::Fault parse_fault_args(const std::string& kind, const Args& args,
   if (kind == "AF") {
     AddressDecoderFault af;
     af.logical = static_cast<Address>(args.u64("logical"));
-    const auto& list = args.raw("physical");
-    if (list != "none") {
-      std::istringstream is{list};
-      std::string part;
-      while (std::getline(is, part, ','))
-        af.physical.push_back(
-            static_cast<Address>(std::stoull(part, nullptr, 0)));
-    }
-    if (af.logical >= g.num_words()) fail_at(where, "logical address too big");
-    for (const auto p : af.physical)
-      if (p >= g.num_words()) fail_at(where, "physical address too big");
+    if (af.logical >= g.num_words()) args.fail("logical address too big");
+    af.physical = address_list_arg(args, "physical", g);
     return af;
   }
   if (kind == "SOF") return StuckOpenFault{cell()};
@@ -204,20 +87,30 @@ memsim::Fault parse_fault_args(const std::string& kind, const Args& args,
   if (kind == "PF") {
     const int port = args.num("port"), bit = args.num("bit");
     if (port < 1 || port >= g.num_ports || bit < 0 || bit >= g.word_bits)
-      fail_at(where, "port/bit outside the geometry");
+      args.fail("port/bit outside the geometry");
     return PortReadFault{port, bit};
   }
   if (kind == "sample") {
-    const auto cls = class_by_name(args.raw("class"), where);
+    const auto& name = args.raw("class");
+    const auto cls = memsim::parse_fault_class(name);
+    if (!cls) args.fail("unknown fault class '" + name + "'");
     const auto seed = args.u64_or("seed", 1);
     const auto index = args.u64_or("index", 0);
     const auto universe = march::make_fault_universe(
-        cls, g, seed, static_cast<int>(std::max<std::uint64_t>(64, index + 1)));
+        *cls, g, seed, static_cast<int>(std::max<std::uint64_t>(64, index + 1)));
     if (universe.empty())
-      fail_at(where, "empty fault universe for this class/geometry");
+      args.fail("empty fault universe for this class/geometry");
     return universe[index % universe.size()];
   }
-  fail_at(where, "unknown fault kind '" + kind + "'");
+  args.fail("unknown fault kind '" + kind + "'");
+}
+
+/// parse_fault_args, then no argument may be left over.
+memsim::Fault parse_fault(const std::string& kind, const KeyValues& args,
+                          const memsim::MemoryGeometry& g) {
+  auto fault = parse_fault_args(kind, args, g);
+  args.finish();
+  return fault;
 }
 
 // --- serialization ----------------------------------------------------
@@ -241,18 +134,12 @@ memsim::Fault parse_fault_kv(const std::string& kind,
                              const std::map<std::string, std::string>& kv,
                              const memsim::MemoryGeometry& geometry,
                              const std::string& where) {
-  return parse_fault_args(kind, Args{kv, where}, geometry);
+  return parse_fault(kind, KeyValues{kv, where, kChipFormat}, geometry);
 }
 
 std::string cell_text(const memsim::BitRef& cell) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%u:%d", cell.addr, cell.bit);
-  return buf;
-}
-
-std::string real_text(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%g", v);
   return buf;
 }
 
@@ -339,38 +226,39 @@ std::pair<std::string, FaultKv> fault_kv(const memsim::Fault& fault) {
 
 ChipFile parse_chip_text(const std::string& text,
                          const ChipParseOptions& options) {
+  return parse_chip_directives(common::lex(text, kChipFormat), options);
+}
+
+ChipFile parse_chip_directives(const std::vector<common::Directive>& directives,
+                               const ChipParseOptions& options) {
   ChipFile chip;
-  std::istringstream lines{text};
-  std::string line;
-  std::size_t lineno = 0;
   bool named = false;
-  while (std::getline(lines, line)) {
-    ++lineno;
-    const auto tokens = tokenize(line, lineno);
-    if (tokens.empty()) continue;
+  for (const auto& d : directives) {
+    const auto& tokens = d.tokens;
     const auto& directive = tokens[0];
+    const auto fail = [&](const std::string& what) {
+      kChipFormat.fail(d.line, what);
+    };
     try {
       if (directive == "soc") {
-        if (tokens.size() != 2) fail(lineno, "usage: soc <name>");
-        if (named) fail(lineno, "duplicate soc directive");
+        if (tokens.size() != 2) fail("usage: soc <name>");
+        if (named) fail("duplicate soc directive");
         chip.description = SocDescription{tokens[1]};
         named = true;
       } else if (directive == "power_budget") {
-        if (tokens.size() != 2) fail(lineno, "usage: power_budget <weight>");
-        try {
-          chip.plan.set_power_budget(std::stod(tokens[1]));
-        } catch (const std::exception&) {
-          fail(lineno, "bad power budget '" + tokens[1] + "'");
-        }
+        if (tokens.size() != 2) fail("usage: power_budget <weight>");
+        const auto budget = common::parse_real(tokens[1]);
+        if (!budget) fail("bad power budget '" + tokens[1] + "'");
+        chip.plan.set_power_budget(*budget);
       } else if (directive == "power_model") {
         if (tokens.size() != 2 ||
             (tokens[1] != "calibrated" && tokens[1] != "heuristic")) {
-          fail(lineno, "usage: power_model calibrated|heuristic");
+          fail("usage: power_model calibrated|heuristic");
         }
         chip.plan.set_power_calibrated(tokens[1] == "calibrated");
       } else if (directive == "mem") {
-        if (tokens.size() < 3) fail(lineno, "usage: mem <name> addr_bits=N ...");
-        const Args args{tokens, 2, lineno};
+        if (tokens.size() < 3) fail("usage: mem <name> addr_bits=N ...");
+        const KeyValues args{d, 2, kChipFormat};
         MemoryInstance m;
         m.name = tokens[1];
         m.geometry = {.address_bits = args.num("addr_bits"),
@@ -381,35 +269,34 @@ ChipFile parse_chip_text(const std::string& text,
         m.scramble_seed = args.u64_or("scramble", 0);
         m.repair = {.spare_rows = args.num_or("spare_rows", 0),
                     .spare_cols = args.num_or("spare_cols", 0)};
+        args.finish();
         chip.description.add(std::move(m));
       } else if (directive == "fault") {
-        if (tokens.size() < 3) fail(lineno, "usage: fault <mem> <KIND> ...");
+        if (tokens.size() < 3) fail("usage: fault <mem> <KIND> ...");
         const auto* mem = chip.description.find(tokens[1]);
         if (mem == nullptr)
-          fail(lineno, "fault names unknown memory '" + tokens[1] +
-                           "' (declare mem first)");
-        const Args args{tokens, 3, lineno};
+          fail("fault names unknown memory '" + tokens[1] +
+               "' (declare mem first)");
         chip.description.add_fault(
-            tokens[1], parse_fault_args(tokens[2], args, mem->geometry));
-      } else if (directive == "assign") {
+            tokens[1],
+            parse_fault(tokens[2], KeyValues{d, 3, kChipFormat}, mem->geometry));
+      } else {  // assign
         if (tokens.size() < 4)
-          fail(lineno,
-               "usage: assign <mem> \"<algorithm>\" <ucode|pfsm|hardwired>");
-        const Args args{tokens, 4, lineno};
+          fail("usage: assign <mem> \"<algorithm>\" <ucode|pfsm|hardwired>");
+        const KeyValues args{d, 4, kChipFormat};
         TestAssignment a;
         a.memory = tokens[1];
         a.algorithm = tokens[2];
         a.controller = controller_kind_by_name(tokens[3]);
         if (args.has("group")) a.share_group = args.raw("group");
         if (args.has("weight")) a.power_weight = args.real("weight");
+        args.finish();
         chip.plan.assign(std::move(a));
-      } else {
-        fail(lineno, "unknown directive '" + directive + "'");
       }
     } catch (const ChipError&) {
       throw;
     } catch (const std::exception& e) {
-      fail(lineno, e.what());
+      fail(e.what());
     }
   }
   if (options.validate_plan) {
@@ -422,32 +309,25 @@ ChipFile parse_chip_text(const std::string& text,
   return chip;
 }
 
-ChipFile parse_chip(const std::string& text, const ChipParseOptions& options) {
-  // Sniff the format: a chip file cannot start with '{', a JSON mirror
-  // cannot start with anything else.
+bool is_chip_json(const std::string& text) {
   const auto first = text.find_first_not_of(" \t\r\n");
-  if (first != std::string::npos && text[first] == '{')
-    return parse_chip_json(text, options);
-  return parse_chip_text(text, options);
+  return first != std::string::npos && text[first] == '{';
 }
 
-ChipFile load_chip_file(const std::string& path) {
-  std::ifstream is{path};
-  if (!is) throw ChipError{"cannot open chip file '" + path + "'"};
-  std::ostringstream os;
-  os << is.rdbuf();
-  return parse_chip(os.str());
+ChipFile parse_chip(const std::string& text, const ChipParseOptions& options) {
+  return is_chip_json(text) ? parse_chip_json(text, options)
+                            : parse_chip_text(text, options);
 }
 
 std::string to_chip_text(const SocDescription& chip, const TestPlan& plan) {
   std::ostringstream os;
-  os << "soc " << chip.name() << "\n";
+  os << "soc " << common::token_text(chip.name()) << "\n";
   if (plan.power().budget > 0.0)
-    os << "power_budget " << detail::real_text(plan.power().budget) << "\n";
+    os << "power_budget " << common::real_text(plan.power().budget) << "\n";
   if (plan.power().calibrated) os << "power_model calibrated\n";
   os << "\n";
   for (const auto& m : chip.memories()) {
-    os << "mem " << m.name << " addr_bits=" << m.geometry.address_bits;
+    os << "mem " << common::token_text(m.name) << " addr_bits=" << m.geometry.address_bits;
     if (m.geometry.word_bits != 1)
       os << " word_bits=" << m.geometry.word_bits;
     if (m.geometry.num_ports != 1) os << " ports=" << m.geometry.num_ports;
@@ -463,15 +343,17 @@ std::string to_chip_text(const SocDescription& chip, const TestPlan& plan) {
     for (const auto& f : m.faults) {
       if (!any_fault) os << "\n";
       any_fault = true;
-      os << "fault " << m.name << " " << fault_text(f) << "\n";
+      os << "fault " << common::token_text(m.name) << " " << fault_text(f)
+         << "\n";
     }
   os << "\n";
   for (const auto& a : plan.assignments()) {
-    os << "assign " << a.memory << " " << quoted(a.algorithm) << " "
-       << to_string(a.controller);
-    if (!a.share_group.empty()) os << " group=" << a.share_group;
+    os << "assign " << common::token_text(a.memory) << " "
+       << quoted(a.algorithm) << " " << to_string(a.controller);
+    if (!a.share_group.empty())
+      os << " group=" << common::token_text(a.share_group);
     if (a.power_weight > 0.0)
-      os << " weight=" << detail::real_text(a.power_weight);
+      os << " weight=" << common::real_text(a.power_weight);
     os << "\n";
   }
   return os.str();

@@ -4,11 +4,13 @@
 // grammar, with examples, lives in docs/SOC.md; tests/test_docs.cpp parses
 // every fenced example there through this module so the doc cannot drift.
 //
-// Shape:
+// Shape (lexical rules shared with the other directive files, see
+// common/directives.h):
 //
 //   # comment
 //   soc <name>
 //   power_budget <weight>
+//   power_model calibrated|heuristic
 //   mem <name> addr_bits=N [word_bits=N] [ports=N] [seed=N] [row_bits=N]
 //              [scramble=N] [spare_rows=N] [spare_cols=N]
 //   fault <mem> <KIND> key=value...
@@ -19,16 +21,22 @@
 // from the deterministic class universe (march::make_fault_universe).
 
 #include <string>
+#include <vector>
 
+#include "common/directives.h"
 #include "soc/plan.h"
 
 namespace pmbist::soc {
 
-/// Raised on any malformed chip file; the message carries the line number.
+/// Raised on any malformed chip file; line() names the source line.
 class ChipError : public SocError {
  public:
   using SocError::SocError;
 };
+
+/// The chip-file format: "chip file line N: " errors, C-prefixed numbers,
+/// and its directive words.
+extern const common::DirectiveFormat kChipFormat;
 
 /// A parsed chip file: the catalog plus its (already validated) plan.
 struct ChipFile {
@@ -48,16 +56,22 @@ struct ChipParseOptions {
 [[nodiscard]] ChipFile parse_chip_text(const std::string& text,
                                        const ChipParseOptions& options = {});
 
-/// Format-sniffing front end: text starting with '{' parses as the JSON
-/// mirror (soc/chip_json.h), anything else as the line format.  Used by
-/// load_chip_file and by every consumer of inline chip payloads (the serve
-/// layer), so both formats are accepted everywhere a chip is accepted.
+/// parse_chip_text on text already lexed under kChipFormat (the linter
+/// keeps the records for their line numbers).
+[[nodiscard]] ChipFile parse_chip_directives(
+    const std::vector<common::Directive>& directives,
+    const ChipParseOptions& options = {});
+
+/// True when `text` is the JSON mirror (soc/chip_json.h): its first
+/// non-blank character is '{', which no chip file can start with.
+[[nodiscard]] bool is_chip_json(const std::string& text);
+
+/// Format-sniffing front end: the JSON mirror when is_chip_json, the line
+/// format otherwise.  Every consumer of chip payloads (the CLI, the serve
+/// layer, the linter's context files) goes through it, so both formats
+/// are accepted everywhere a chip is accepted.
 [[nodiscard]] ChipFile parse_chip(const std::string& text,
                                   const ChipParseOptions& options = {});
-
-/// Reads and parses a chip file from disk.  Throws ChipError when the file
-/// cannot be read.
-[[nodiscard]] ChipFile load_chip_file(const std::string& path);
 
 /// Serializes a chip + plan back into chip-file text; the output re-parses
 /// to an equal ChipFile (round-trip).  Throws SocError for faults the

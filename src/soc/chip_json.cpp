@@ -256,7 +256,7 @@ std::string serialize_chip_json(const SocDescription& chip,
   os << "{\n";
   os << "  \"soc\": " << quote(chip.name());
   if (plan.power().budget > 0.0)
-    os << ",\n  \"power_budget\": " << detail::real_text(plan.power().budget);
+    os << ",\n  \"power_budget\": " << common::real_text(plan.power().budget);
   if (plan.power().calibrated) os << ",\n  \"power_model\": \"calibrated\"";
   os << ",\n  \"memories\": [";
   for (std::size_t i = 0; i < chip.memories().size(); ++i) {
@@ -305,7 +305,7 @@ std::string serialize_chip_json(const SocDescription& chip,
        << ", \"controller\": " << quote(std::string{to_string(a.controller)});
     if (!a.share_group.empty()) os << ", \"group\": " << quote(a.share_group);
     if (a.power_weight > 0.0)
-      os << ", \"weight\": " << detail::real_text(a.power_weight);
+      os << ", \"weight\": " << common::real_text(a.power_weight);
     os << "}";
   }
   os << (plan.assignments().empty() ? "]" : "\n  ]");

@@ -25,7 +25,7 @@
 // verbatim (numbers or strings both accepted for scalar arguments), so
 // the two formats stay in lock-step through the shared fault codec
 // (fault_codec.h).  `pmbist soc`/`field`/`lint` and the serve layer accept
-// either format; load_chip_file sniffs a leading '{'.
+// either format; parse_chip sniffs a leading '{'.
 
 #include <string>
 

@@ -10,19 +10,21 @@
 // operate over.  Catalogs are built programmatically or parsed from a chip
 // file (chip.h, format in docs/SOC.md).
 
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/directives.h"
 #include "memsim/fault_model.h"
 #include "memsim/topology.h"
 
 namespace pmbist::soc {
 
-/// Raised for every malformed SoC description / test plan.
-class SocError : public std::runtime_error {
+/// Raised for every malformed SoC description / test plan.  The errors of
+/// the directive files (chip, profile, .schedule, .fieldsched) derive from
+/// it and carry their source line.
+class SocError : public common::DirectiveError {
  public:
-  using std::runtime_error::runtime_error;
+  using DirectiveError::DirectiveError;
 };
 
 /// Spare rows/columns available to an instance (bit-oriented arrays only;

@@ -19,9 +19,10 @@ namespace pmbist::soc::detail {
 using FaultKv = std::vector<std::pair<std::string, std::string>>;
 
 /// Parses one fault from its kind tag and argument map against a memory's
-/// geometry.  `where` prefixes every error message (e.g. "chip file line
-/// 7" or "memories[0].faults[2]").  Throws ChipError on unknown kinds,
-/// missing/extra-typed arguments and out-of-geometry references.
+/// geometry, through the same key=value reader as the text format
+/// (common/directives.h).  `where` prefixes every error message (e.g.
+/// "chip json memories[0].faults[2]").  Throws ChipError on unknown kinds,
+/// missing, unknown or ill-typed arguments and out-of-geometry references.
 [[nodiscard]] memsim::Fault parse_fault_kv(
     const std::string& kind, const std::map<std::string, std::string>& kv,
     const memsim::MemoryGeometry& geometry, const std::string& where);
@@ -34,8 +35,5 @@ using FaultKv = std::vector<std::pair<std::string, std::string>>;
 
 /// "addr:bit" cell reference text.
 [[nodiscard]] std::string cell_text(const memsim::BitRef& cell);
-
-/// Shortest round-trip "%g" rendering shared by both serializers.
-[[nodiscard]] std::string real_text(double v);
 
 }  // namespace pmbist::soc::detail

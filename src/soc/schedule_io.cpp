@@ -1,112 +1,46 @@
 #include "soc/schedule_io.h"
 
-#include <cstdio>
 #include <sstream>
-#include <stdexcept>
 
 namespace pmbist::soc {
-namespace {
 
-[[noreturn]] void fail(int lineno, const std::string& why) {
-  throw ScheduleError("schedule file line " + std::to_string(lineno) + ": " +
-                      why);
-}
-
-std::uint64_t parse_u64(const std::string& value, int lineno,
-                        const std::string& key) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long v = std::stoull(value, &used);
-    if (used != value.size()) throw std::invalid_argument{value};
-    return v;
-  } catch (const std::exception&) {
-    fail(lineno, key + " expects a non-negative integer, got '" + value + "'");
-  }
-}
-
-double parse_weight(const std::string& value, int lineno) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(value, &used);
-    if (used != value.size()) throw std::invalid_argument{value};
-    return v;
-  } catch (const std::exception&) {
-    fail(lineno, "weight expects a number, got '" + value + "'");
-  }
-}
-
-std::string format_weight(double w) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", w);
-  // Trim to the shortest form that round-trips exactly.
-  for (int precision = 1; precision < 17; ++precision) {
-    char shorter[64];
-    std::snprintf(shorter, sizeof shorter, "%.*g", precision, w);
-    if (std::stod(shorter) == w) return shorter;
-  }
-  return buf;
-}
-
-}  // namespace
+constexpr std::string_view kScheduleDirectives[] = {"schedule", "session"};
+const common::DirectiveFormat kScheduleFormat{
+    "schedule file", 10, kScheduleDirectives, common::throw_as<ScheduleError>};
 
 SocScheduleFile parse_schedule_text(const std::string& text) {
   SocScheduleFile file;
   bool saw_header = false;
-  std::istringstream lines{text};
-  std::string line;
-  int lineno = 0;
-  while (std::getline(lines, line)) {
-    ++lineno;
-    std::istringstream words{line.substr(0, line.find('#'))};
-    std::string directive;
-    if (!(words >> directive)) continue;
-    if (directive == "schedule") {
-      if (saw_header) fail(lineno, "duplicate schedule directive");
-      if (!(words >> file.name)) fail(lineno, "schedule needs a name");
+  for (const auto& d : common::lex(text, kScheduleFormat)) {
+    const auto& tokens = d.tokens;
+    const auto fail = [&](const std::string& what) {
+      kScheduleFormat.fail(d.line, what);
+    };
+    if (tokens[0] == "schedule") {
+      if (saw_header) fail("duplicate schedule directive");
+      if (tokens.size() != 2) fail("usage: schedule <name>");
+      file.name = tokens[1];
       saw_header = true;
       continue;
     }
-    if (directive != "session")
-      fail(lineno, "unknown directive '" + directive + "'");
-    if (!saw_header) fail(lineno, "session before the schedule directive");
+    if (!saw_header) fail("session before the schedule directive");
+    if (tokens.size() < 2)
+      fail("usage: session <mem> start=N load=N test=N [weight=W] [retest]");
+    const common::KeyValues args{d, 2, kScheduleFormat, {"retest"}};
     ScheduleEntry entry;
-    entry.line = lineno;
-    if (!(words >> entry.memory)) fail(lineno, "session needs a memory name");
-    bool saw_start = false;
-    bool saw_load = false;
-    bool saw_test = false;
-    std::string token;
-    while (words >> token) {
-      if (token == "retest") {
-        entry.retest = true;
-        continue;
-      }
-      const auto eq = token.find('=');
-      if (eq == std::string::npos)
-        fail(lineno, "expected key=value or retest, got '" + token + "'");
-      const std::string key = token.substr(0, eq);
-      const std::string value = token.substr(eq + 1);
-      if (key == "start") {
-        entry.start = parse_u64(value, lineno, key);
-        saw_start = true;
-      } else if (key == "load") {
-        entry.load = parse_u64(value, lineno, key);
-        saw_load = true;
-      } else if (key == "test") {
-        entry.test = parse_u64(value, lineno, key);
-        saw_test = true;
-      } else if (key == "weight") {
-        entry.weight = parse_weight(value, lineno);
-        entry.has_weight = true;
-      } else {
-        fail(lineno, "unknown session key '" + key + "'");
-      }
-    }
-    if (!saw_start || !saw_load || !saw_test)
-      fail(lineno, "session needs start=, load= and test=");
+    entry.memory = tokens[1];
+    entry.start = args.u64("start");
+    entry.load = args.u64("load");
+    entry.test = args.u64("test");
+    entry.has_weight = args.has("weight");
+    if (entry.has_weight) entry.weight = args.real("weight");
+    entry.retest = args.word("retest");
+    entry.line = d.line;
+    args.finish();
     file.entries.push_back(std::move(entry));
   }
-  if (!saw_header) throw ScheduleError{"schedule file has no schedule directive"};
+  if (!saw_header)
+    throw ScheduleError{"schedule file has no schedule directive"};
   return file;
 }
 
@@ -114,11 +48,12 @@ std::string to_schedule_text(const std::string& name,
                              const std::vector<ScheduledSession>& schedule) {
   std::ostringstream os;
   os << "# pmbist soc schedule (certify with `pmbist lint FILE --chip CHIP`)\n";
-  os << "schedule " << name << '\n';
+  os << "schedule " << common::token_text(name) << '\n';
   for (const auto& s : schedule) {
-    os << "session " << s.memory << " start=" << s.start_cycle
-       << " load=" << s.load_cycles << " test=" << s.test_cycles
-       << " weight=" << format_weight(s.power_weight);
+    os << "session " << common::token_text(s.memory)
+       << " start=" << s.start_cycle << " load=" << s.load_cycles
+       << " test=" << s.test_cycles
+       << " weight=" << common::real_text(s.power_weight);
     if (s.retest) os << " retest";
     os << '\n';
   }

@@ -8,7 +8,8 @@
 // group, power weight — is re-derived from the chip file at certification
 // time, which is exactly what makes the certificate independent.
 //
-// Format, in the chip-file style ('#' comments, one directive per line):
+// Format, under the chip file's lexical rules (common/directives.h) with
+// decimal numbers:
 //
 //   schedule <name>
 //   session <mem> start=N load=N test=N [weight=W] [retest]
@@ -20,15 +21,20 @@
 #include <string>
 #include <vector>
 
+#include "common/directives.h"
 #include "soc/scheduler.h"
 
 namespace pmbist::soc {
 
-/// Raised on malformed .schedule text; the message carries the line number.
+/// Raised on malformed .schedule text; line() names the source line.
 class ScheduleError : public SocError {
  public:
   using SocError::SocError;
 };
+
+/// The .schedule format: "schedule file line N: " errors, decimal
+/// numbers, and its directive words.
+extern const common::DirectiveFormat kScheduleFormat;
 
 /// One parsed `session` directive.
 struct ScheduleEntry {

@@ -105,9 +105,28 @@ TEST(MissionProfile, RoundTripsThroughText) {
   EXPECT_EQ(field::to_profile_text(parsed), text);  // fixed point
 }
 
-TEST(MissionProfile, LoadRejectsMissingFile) {
-  EXPECT_THROW((void)field::load_profile_file("/nonexistent/x.profile"),
-               field::ProfileError);
+TEST(MissionProfile, NamesThatAreNotBareTokensRoundTrip) {
+  // Names that are not bare tokens are written quoted and re-parse.
+  for (const std::string name : {"a b", "tab\there", "hash#tag"}) {
+    field::MissionProfile p;
+    p.name = name;
+    p.add_window(name, {0, 10}).add_window("plain", {5, 9});
+    const auto text = field::to_profile_text(p);
+    EXPECT_EQ(field::parse_profile_text(text), p) << text;
+  }
+}
+
+TEST(MissionProfile, ErrorsCarryTheirLine) {
+  try {
+    (void)field::parse_profile_text("profile p\n# note\nwindow m start=1\n");
+    FAIL() << "expected ProfileError";
+  } catch (const field::ProfileError& e) {
+    EXPECT_EQ(e.line(), 3);
+    EXPECT_EQ(std::string{e.what()},
+              "profile line 3: usage: window <mem> start=N end=N");
+  }
+  // Numbers take C prefixes, like the chip file's.
+  EXPECT_EQ(field::parse_profile_text("horizon 0x10\n").horizon, 16u);
 }
 
 // --- segmenting engine ------------------------------------------------

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <random>
 
 #include "bist/session.h"
@@ -296,17 +298,30 @@ TEST_P(FuzzLintText, ArbitraryTextNeverThrows) {
       "updownanyrw01();, \n\t#;=\"softmempausassign0123456789abcdefxyz";
   std::string text(static_cast<std::size_t>(len(rng)), ' ');
   for (auto& c : text) c = alphabet[rng() % alphabet.size()];
-  // Sometimes steer into the image paths.
-  switch (rng() % 4) {
+  // Sometimes steer into the image paths and the four directive formats.
+  switch (rng() % 7) {
     case 0: text = "; pmbist microcode image v1\n" + text; break;
     case 1: text = "; pmbist pfsm image v1\n" + text; break;
     case 2: text = "soc fuzz\n" + text; break;
+    case 3: text = "profile fuzz\n" + text; break;
+    case 4: text = "schedule fuzz\n" + text; break;
+    case 5: text = "fieldschedule fuzz\n" + text; break;
     default: break;
   }
   const auto report = lint::lint_text(text, "fuzz");
   EXPECT_EQ(report, lint::lint_text(text, "fuzz"));
   for (const auto& d : report.diagnostics())
     EXPECT_NE(lint::find_code(d.code), nullptr) << d.code;
+  // A directive file's diagnostics name one of its lines, or none.
+  const auto kind = lint::detect_kind(text);
+  if (kind == lint::InputKind::Chip || kind == lint::InputKind::Profile ||
+      kind == lint::InputKind::SocSchedule ||
+      kind == lint::InputKind::FieldSchedule) {
+    const auto lines = std::count(text.begin(), text.end(), '\n') + 1;
+    for (const auto& d : report.diagnostics())
+      EXPECT_TRUE(d.index == -1 || (d.index >= 1 && d.index <= lines))
+          << d.code << " names line " << d.index << " of " << lines;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzLintText, ::testing::Range(1, 65));

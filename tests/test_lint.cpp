@@ -24,6 +24,7 @@
 
 #include "lint/cfg.h"
 
+#include "common/directives.h"
 #include "field/manager.h"
 #include "field/profile.h"
 #include "field/schedule_io.h"
@@ -971,6 +972,77 @@ TEST(Driver, DetectsEveryInputKind) {
   EXPECT_EQ(lint::detect_kind(""), lint::InputKind::March);
 }
 
+TEST(Driver, ChipStartingWithPowerModelIsAChip) {
+  // Every chip directive selects the chip pass, `power_model` included
+  // (not the march pass, which would answer MA00 ... got 'power').
+  const std::string text = read_case("power_model.chip");
+  EXPECT_EQ(lint::detect_kind(text), lint::InputKind::Chip);
+  const auto report = lint_case("power_model.chip");
+  EXPECT_FALSE(report.has_code("MA00")) << lint::format_text(report);
+  EXPECT_FALSE(report.has_errors()) << lint::format_text(report);
+}
+
+TEST(Driver, EveryDeclaredDirectiveSelectsItsFormat) {
+  // The grammars of docs/SOC.md and docs/FIELD.md, and each format's
+  // declared set (the one its parser reads) is exactly that grammar.
+  struct Format {
+    lint::InputKind kind;
+    const common::DirectiveFormat* declared;
+    std::vector<std::string> documented;
+  };
+  const Format formats[] = {
+      {lint::InputKind::Chip, &soc::kChipFormat,
+       {"soc", "power_budget", "power_model", "mem", "fault", "assign"}},
+      {lint::InputKind::Profile, &field::kProfileFormat,
+       {"profile", "horizon", "bus_budget", "window"}},
+      {lint::InputKind::SocSchedule, &soc::kScheduleFormat,
+       {"schedule", "session"}},
+      {lint::InputKind::FieldSchedule, &field::kFieldScheduleFormat,
+       {"fieldschedule", "fsession"}},
+  };
+  for (const auto& f : formats) {
+    EXPECT_EQ(std::vector<std::string>(f.declared->directives.begin(),
+                                       f.declared->directives.end()),
+              f.documented);
+    for (const auto word : f.declared->directives) {
+      const std::string w{word};
+      EXPECT_EQ(lint::detect_kind(w + " x\n"), f.kind) << w;
+      EXPECT_EQ(lint::detect_kind("# header\n\n  " + w + " x y=1\n"), f.kind)
+          << w;
+      // A broken quote later on the line is the parser's to report.
+      EXPECT_EQ(lint::detect_kind(w + " \"x\n"), f.kind) << w;
+    }
+  }
+}
+
+TEST(Driver, QuotedNamesKeepTheirLines) {
+  // Lines come from the lexed records, so quoted names are unquoted
+  // there as in the parser: CH01 names 'a', and CH08 and FP02 find the
+  // line of a quoted memory.
+  const auto dup = lint::lint_chip_text(
+      "soc t\nmem \"a\" addr_bits=4\nmem \"a\" addr_bits=4\n", "u");
+  ASSERT_TRUE(dup.has_code("CH01")) << lint::format_text(dup);
+  EXPECT_EQ(dup.diagnostics()[0].message,
+            "duplicate memory instance 'a' (first declared on line 2)");
+  EXPECT_EQ(dup.diagnostics()[0].index, 3);
+
+  const auto unassigned = lint::lint_chip_text(
+      "soc t\nmem a addr_bits=4\nmem \"b\" addr_bits=4\n"
+      "assign a \"March C\" ucode\n",
+      "u");
+  ASSERT_TRUE(unassigned.has_code("CH08")) << lint::format_text(unassigned);
+  for (const auto& d : unassigned.diagnostics()) {
+    if (d.code == "CH08") {
+      EXPECT_EQ(d.index, 3) << lint::format_text(unassigned);
+    }
+  }
+
+  const auto empty = lint::lint_profile_text(
+      "profile p\nwindow a start=0 end=9\nwindow \"b\" start=5 end=5\n", "u");
+  ASSERT_TRUE(empty.has_code("FP02")) << lint::format_text(empty);
+  EXPECT_EQ(empty.diagnostics()[0].index, 3) << lint::format_text(empty);
+}
+
 TEST(Driver, MalformedInputsBecomeParseDiagnosticsNotThrows) {
   EXPECT_TRUE(lint::lint_text("n@t a march", "u").has_code("MA00"));
   EXPECT_TRUE(lint::lint_text("; pmbist microcode image v1\nxyz\n", "u")
@@ -1364,6 +1436,86 @@ TEST(ScheduleIo, FieldRoundTripAndErrorLines) {
     EXPECT_NE(std::string{e.what()}.find("line 2"), std::string::npos)
         << e.what();
   }
+}
+
+TEST(ScheduleIo, NamesAndWeightsRoundTripExactly) {
+  for (const std::string name : {"a b", "tab\there", "hash#tag"}) {
+    soc::ScheduledSession s;
+    s.memory = name;
+    s.start_cycle = 7;
+    s.load_cycles = 2;
+    s.test_cycles = 40;
+    s.power_weight = 1.234567891;
+    s.retest = true;
+    const auto text = soc::to_schedule_text(name, {s});
+    const auto parsed = soc::parse_schedule_text(text);
+    EXPECT_EQ(parsed.name, name) << text;
+    ASSERT_EQ(parsed.entries.size(), 1u) << text;
+    auto entry = parsed.entries[0];
+    EXPECT_EQ(entry.line, 3);
+    entry.line = -1;
+    EXPECT_EQ(entry, soc::schedule_entries({s})[0]) << text;
+
+    field::FieldSession f;
+    f.memory = name;
+    f.pass = 1;
+    f.segment_begin = 2;
+    f.segment_end = 5;
+    f.start_cycle = 10;
+    f.end_cycle = 30;
+    f.reload_cycles = 3;
+    const auto ftext = field::to_field_schedule_text(name, {f});
+    const auto fparsed = field::parse_field_schedule_text(ftext);
+    EXPECT_EQ(fparsed.name, name) << ftext;
+    ASSERT_EQ(fparsed.entries.size(), 1u) << ftext;
+    EXPECT_EQ(fparsed.entries[0].session, f) << ftext;
+  }
+  // A weight "%g" renders exactly is written that way: 30, not 3e+01.
+  soc::ScheduledSession s;
+  s.memory = "m";
+  s.power_weight = 30;
+  EXPECT_NE(soc::to_schedule_text("w", {s}).find(" weight=30\n"),
+            std::string::npos)
+      << soc::to_schedule_text("w", {s});
+}
+
+TEST(ScheduleIo, NumbersAreDecimalAndErrorsCarryTheirLine) {
+  const auto parsed = soc::parse_schedule_text(
+      "schedule s\nsession m start=010 load=0 test=1\n");
+  EXPECT_EQ(parsed.entries[0].start, 10u);
+  const auto line_of = [](const auto& parse, const std::string& text) {
+    try {
+      parse(text);
+    } catch (const common::DirectiveError& e) {
+      return e.line();
+    }
+    return 0;
+  };
+  const auto soc_parse = [](const std::string& t) {
+    (void)soc::parse_schedule_text(t);
+  };
+  const auto field_parse = [](const std::string& t) {
+    (void)field::parse_field_schedule_text(t);
+  };
+  EXPECT_EQ(line_of(soc_parse, "schedule s\n\nsession m start=0x1 load=0 "
+                               "test=1\n"),
+            3);
+  EXPECT_EQ(line_of(soc_parse, "schedule s\nsession m start=1 start=2 load=0 "
+                               "test=1\n"),
+            2);
+  EXPECT_EQ(line_of(soc_parse, "session m start=1 load=0 test=1\n"), 1);
+  EXPECT_EQ(line_of(soc_parse, "# empty\n"), -1);
+  EXPECT_EQ(line_of(field_parse, "fieldschedule f\nfsession m pass=0 seg=1 "
+                                 "start=0 end=1 reload=0\n"),
+            2);
+  // The linter reports the same line.
+  lint::LintOptions with_chip;
+  with_chip.chip = read_repo_file("examples/soc_demo.chip");
+  const auto report = lint::lint_text(
+      "schedule s\n# gap\nsession m start=x load=0 test=1\n", "s",
+      with_chip);
+  ASSERT_TRUE(report.has_code("SC00")) << lint::format_text(report);
+  EXPECT_EQ(report.diagnostics()[0].index, 3) << lint::format_text(report);
 }
 
 TEST(Certify, DriverRoutesSchedulesAndRequiresContext) {

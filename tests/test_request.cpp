@@ -265,6 +265,17 @@ TEST(ParseArgs, MemtestSizeIsOneByteCountOnBothSurfaces) {
   EXPECT_EQ(serve::parse_args({"memtest", "--size", "4K"}).size_bytes, 4096u);
   EXPECT_THROW((void)serve::parse_args({"memtest", "--size", "17G"}),
                serve::ProtocolError);
+  // The wire carries whole MiB: a size that is not one cannot be sent
+  // (rounding would test another size); a whole one goes out exactly.
+  for (const char* size : {"4K", "1536K", "1048575"}) {
+    const auto sub = serve::parse_args(
+        {"submit", "--req", "memtest", "--size", size, "--port", "7"});
+    EXPECT_THROW((void)serve::to_json(sub), serve::ProtocolError) << size;
+  }
+  const auto whole = serve::parse_args(
+      {"submit", "--req", "memtest", "--size", "2048K", "--port", "7"});
+  EXPECT_EQ(json::Value::parse(serve::to_json(whole)).find("size_mb")->as_u64(),
+            2u);
 }
 
 TEST(ParseArgs, OneMemoryCommandsLeaveThePortBoundToTheEngine) {

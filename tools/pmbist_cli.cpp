@@ -126,6 +126,10 @@ int cmd_list(const serve::Request& opt) {
 }
 
 int cmd_assemble(const serve::Request& opt) {
+  if (opt.arch != "ucode" && opt.arch != "pfsm")
+    usage(("assemble --arch must be ucode or pfsm (a hardwired controller "
+           "has no program), not '" + opt.arch + "'")
+              .c_str());
   const auto alg = march::resolve_algorithm(opt.algorithm);
   if (opt.arch == "pfsm") {
     const auto r = mbist_pfsm::compile(alg);
